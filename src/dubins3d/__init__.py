@@ -19,7 +19,7 @@ from .geom import (
     normalize,
     point_line_distance,
 )
-from .oracle import ContourMap, GridWindow, build_contours, enumerate_all_types, enumerate_roots
+from .oracle import ContourMap, GridWindow, build_contours, enumerate_all_types, enumerate_roots, refine_roots
 from .path import (
     Arc,
     CscPath,
@@ -108,6 +108,7 @@ __all__ = [
     "parse_scenario",
     "path_length",
     "point_line_distance",
+    "refine_roots",
     "residuals",
     "sample_path",
     "solve_all",

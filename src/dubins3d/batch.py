@@ -3,12 +3,13 @@
 A batch couples per-element problem data (start/goal rays and radius, each
 component a scalar or an (N,) array) with per-element offsets, so the same
 machinery serves three workloads: many seeds on one problem (multistart),
-one seed on many problems (parameter sweeps), and grid refinement.  Singular
-evaluations yield NaN and the owning element is dropped rather than patched.
+seeds on many problems at once (parameter sweeps), and grid refinement.
+Singular evaluations yield NaN and the owning element is dropped rather than
+patched.
 
 The formulas duplicate the scalar reference in `residual`; the test suite
-pins the two implementations against each other, and every root accepted
-downstream is re-verified through the scalar path.
+pins the two implementations against each other, and every root `solve_all`
+accepts is re-verified through the scalar path.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geom import EPS_ZERO, ProblemInstance
 from .residual import EPS_SING, SolutionType
 
 # Step control: halve the Newton step until the residual norm decreases, at
@@ -55,6 +57,18 @@ class RayBatch:
             np.broadcast_to(np.asarray(r, float), (n,)),
         )
 
+    @classmethod
+    def from_instance(cls, inst: ProblemInstance, n: int) -> "RayBatch":
+        """One problem instance broadcast to n elements."""
+        return cls.build(
+            inst.start.position.as_tuple(),
+            inst.start.direction.as_tuple(),
+            inst.goal.position.as_tuple(),
+            inst.goal.direction.as_tuple(),
+            inst.radius,
+            n,
+        )
+
     def take(self, sel: np.ndarray) -> "RayBatch":
         pick = lambda v: tuple(c[sel] for c in v)
         return RayBatch(pick(self.xi), pick(self.vi), pick(self.xf), pick(self.vf), self.r[sel])
@@ -63,50 +77,56 @@ class RayBatch:
         return self.r.shape[0]
 
 
+def _geometry(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndarray):
+    """Geometry shared by the residuals and the directional test.
+
+    Returns (pt_i, pt_f, w, d, g, ends, bad): the offset points, w = pt_f -
+    pt_i, its length d, the segment direction g = w / d (reversed for
+    switched types), per end the tuple (v x g, |v x g|, g . v), and the mask
+    of singular elements, whose d and cross norms are set to 1.  Callers
+    hold the whole tuple until they return: letting the offset points and w
+    be freed mid-evaluation changed the allocator's heap trimming and
+    tripled the page faults on large oracle grids.
+    """
+    xi, vi, xf, vf = batch.xi, batch.vi, batch.xf, batch.vf
+    pt_i = (xi[0] + hi * vi[0], xi[1] + hi * vi[1], xi[2] + hi * vi[2])
+    pt_f = (xf[0] + hf * vf[0], xf[1] + hf * vf[1], xf[2] + hf * vf[2])
+    w = (pt_f[0] - pt_i[0], pt_f[1] - pt_i[1], pt_f[2] - pt_i[2])
+    d = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
+    bad = d <= EPS_SING
+    d = np.where(bad, 1.0, d)
+    sgn = -1.0 if stype.switched else 1.0
+    g = (sgn * w[0] / d, sgn * w[1] / d, sgn * w[2] / d)
+    ends = []
+    for v in (vi, vf):
+        cx = (v[1] * g[2] - v[2] * g[1], v[2] * g[0] - v[0] * g[2], v[0] * g[1] - v[1] * g[0])
+        n = np.sqrt(cx[0] * cx[0] + cx[1] * cx[1] + cx[2] * cx[2])
+        bad = bad | (n <= EPS_SING)
+        n = np.where(n <= EPS_SING, 1.0, n)
+        gv = g[0] * v[0] + g[1] * v[1] + g[2] * v[2]
+        ends.append((cx, n, gv))
+    return pt_i, pt_f, w, d, g, ends, bad
+
+
 def eval_residuals(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndarray, jac: bool = False):
     """Residual pair (and optionally Jacobian entries) for every element.
 
     Returns (p_i, p_f, J) with NaN where the geometry is singular; J is None
     unless requested, else the tuple (dpi_dhi, dpi_dhf, dpf_dhi, dpf_dhf).
     """
-    xi, vi, xf, vf, r = batch.xi, batch.vi, batch.xf, batch.vf, batch.r
-    hix = xi[0] + hi * vi[0]
-    hiy = xi[1] + hi * vi[1]
-    hiz = xi[2] + hi * vi[2]
-    hfx = xf[0] + hf * vf[0]
-    hfy = xf[1] + hf * vf[1]
-    hfz = xf[2] + hf * vf[2]
-    wx = hfx - hix
-    wy = hfy - hiy
-    wz = hfz - hiz
-    d = np.sqrt(wx * wx + wy * wy + wz * wz)
-    bad = d <= EPS_SING
-    d = np.where(bad, 1.0, d)
-    sgn = -1.0 if stype.switched else 1.0
-    gx = sgn * wx / d
-    gy = sgn * wy / d
-    gz = sgn * wz / d
-
-    ends = []
-    for v, h, sign in ((vi, hi, stype.start_sign), (vf, hf, stype.end_sign)):
-        cxx = v[1] * gz - v[2] * gy
-        cxy = v[2] * gx - v[0] * gz
-        cxz = v[0] * gy - v[1] * gx
-        n = np.sqrt(cxx * cxx + cxy * cxy + cxz * cxz)
-        bad = bad | (n <= EPS_SING)
-        n = np.where(n <= EPS_SING, 1.0, n)
-        gv = gx * v[0] + gy * v[1] + gz * v[2]
-        p = h + sign * (r / n) * (1.0 - gv)
-        ends.append((p, n, gv, (cxx, cxy, cxz)))
-
-    p_i = np.where(bad, np.nan, ends[0][0])
-    p_f = np.where(bad, np.nan, ends[1][0])
+    vi, vf, r = batch.vi, batch.vf, batch.r
+    geo = _geometry(batch, stype, hi, hf)
+    _, _, _, d, (gx, gy, gz), ends, bad = geo
+    (_, n_i, gv_i), (_, n_f, gv_f) = ends
+    p_i = np.where(bad, np.nan, hi + stype.start_sign * (r / n_i) * (1.0 - gv_i))
+    p_f = np.where(bad, np.nan, hf + stype.end_sign * (r / n_f) * (1.0 - gv_f))
     if not jac:
         return p_i, p_f, None
 
     # direction derivatives a_i, a_f, reversed for switched types
-    hvi = (gx * vi[0] + gy * vi[1] + gz * vi[2]) * sgn  # hdir . v_i
-    hvf = (gx * vf[0] + gy * vf[1] + gz * vf[2]) * sgn
+    sgn = -1.0 if stype.switched else 1.0
+    hvi = gv_i * sgn  # hdir . v_i
+    hvf = gv_f * sgn
     hx, hy, hz = sgn * gx, sgn * gy, sgn * gz
     bix = sgn * (hx * hvi - vi[0]) / d
     biy = sgn * (hy * hvi - vi[1]) / d
@@ -116,7 +136,7 @@ def eval_residuals(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.
     bfz = sgn * (vf[2] - hz * hvf) / d
 
     entries = []
-    for (v, sign), (_, n, gv, (cxx, cxy, cxz)) in zip(((vi, stype.start_sign), (vf, stype.end_sign)), ends):
+    for (v, sign), ((cxx, cxy, cxz), n, gv) in zip(((vi, stype.start_sign), (vf, stype.end_sign)), ends):
         for bx, by, bz in ((bix, biy, biz), (bfx, bfy, bfz)):
             exx = v[1] * bz - v[2] * by
             exy = v[2] * bx - v[0] * bz
@@ -138,29 +158,29 @@ def eval_ahead(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndar
 
     NaN where the geometry is singular.
     """
-    xi, vi, xf, vf, r = batch.xi, batch.vi, batch.xf, batch.vf, batch.r
-    hpt_i = tuple(xi[k] + hi * vi[k] for k in range(3))
-    hpt_f = tuple(xf[k] + hf * vf[k] for k in range(3))
-    w = tuple(hpt_f[k] - hpt_i[k] for k in range(3))
-    d = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-    bad = d <= EPS_SING
-    d = np.where(bad, 1.0, d)
-    h = tuple(w[k] / d for k in range(3))
+    vi, vf, r = batch.vi, batch.vf, batch.r
+    geo = _geometry(batch, stype, hi, hf)
+    pt_i, pt_f, _, _, g, ends, bad = geo
     sgn = -1.0 if stype.switched else 1.0
-    g = tuple(sgn * h[k] for k in range(3))
+    h = (sgn * g[0], sgn * g[1], sgn * g[2])
     centers = []
-    for v, off, sign in ((vi, hpt_i, stype.start_sign), (vf, hpt_f, stype.end_sign)):
-        cxx = v[1] * g[2] - v[2] * g[1]
-        cxy = v[2] * g[0] - v[0] * g[2]
-        cxz = v[0] * g[1] - v[1] * g[0]
-        n = np.sqrt(cxx * cxx + cxy * cxy + cxz * cxz)
-        bad = bad | (n <= EPS_SING)
-        n = np.where(n <= EPS_SING, 1.0, n)
+    for v, off, sign, (_, n, _) in zip((vi, vf), (pt_i, pt_f), (stype.start_sign, stype.end_sign), ends):
         scale = sign * r / n
         centers.append(tuple(off[k] + scale * (v[k] - g[k]) for k in range(3)))
     c_i, c_f = centers
     ahead = sum((c_f[k] - c_i[k]) * h[k] for k in range(3))
     return np.where(bad, np.nan, ahead)
+
+
+def directionally_valid(stype: SolutionType, ahead: np.ndarray) -> np.ndarray:
+    """Array form of `path.check_directionality` on eval_ahead's output.
+
+    Regular roots need the goal-side circle ahead, switched roots behind it,
+    both within EPS_ZERO; NaN (singular geometry) is never valid.
+    """
+    if stype.switched:
+        return ahead <= EPS_ZERO
+    return ahead >= -EPS_ZERO
 
 
 def eval_fd_jacobian(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndarray, step: float = 1e-6):

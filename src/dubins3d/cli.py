@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one scenario file")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--robust", action="store_true", help="multistart seed grid (default; kept for symmetry)")
+    p.add_argument("--robust", action="store_true", help="multistart seed grid, overriding a scenario's single-seed policy")
     p.add_argument("--seed", nargs=2, type=float, metavar=("H_I", "H_F"), help="solve from a single seed instead")
     p.add_argument("--no-gradient", action="store_true", help="finite-difference Jacobian instead of analytic")
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")

@@ -102,15 +102,7 @@ def build_contours(inst: ProblemInstance, stype: SolutionType, window: GridWindo
     """Sample both residual fields over the window and mark sign changes."""
     hi_nodes, hf_nodes = window.nodes()
     a, b = np.meshgrid(hi_nodes, hf_nodes, indexing="ij")
-    rb = RayBatch.build(
-        inst.start.position.as_tuple(),
-        inst.start.direction.as_tuple(),
-        inst.goal.position.as_tuple(),
-        inst.goal.direction.as_tuple(),
-        inst.radius,
-        a.size,
-    )
-    p_i, p_f, _ = eval_residuals(rb, stype, a.ravel(), b.ravel())
+    p_i, p_f, _ = eval_residuals(RayBatch.from_instance(inst, a.size), stype, a.ravel(), b.ravel())
     p_i = p_i.reshape(a.shape)
     p_f = p_f.reshape(a.shape)
     singular = ~(np.isfinite(p_i) & np.isfinite(p_f))
@@ -127,21 +119,19 @@ def build_contours(inst: ProblemInstance, stype: SolutionType, window: GridWindo
     )
 
 
-def enumerate_roots(
+def refine_roots(
     inst: ProblemInstance,
-    stype: SolutionType,
-    window: GridWindow,
+    cmap: ContourMap,
     residual_tol: float | None = None,
     dedup_tol: float = DEFAULT_DEDUP_TOL,
 ) -> list[HPair]:
-    """All roots of one type inside the window, found by refining every cell
-    where both residual fields change sign.
+    """All roots of the map's type inside its window, found by refining
+    every cell where both residual fields change sign.
 
     Refined roots that escape the window are discarded; the rest are merged
     within dedup_tol and returned sorted by (h_i, h_f).
     """
     tol = residual_tol if residual_tol is not None else RESIDUAL_TOL_SCALE * inst.radius
-    cmap = build_contours(inst, stype, window)
     opts = SolverOptions(residual_tol=tol, max_iters=60, seed_policy=SingleSeed())
     roots: list[HPair] = []
     for i, j in cmap.intersection_cells():
@@ -150,16 +140,28 @@ def enumerate_roots(
             0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1]),
         )
         try:
-            cand = solve_type(inst, stype, seed, opts)
+            cand = solve_type(inst, cmap.stype, seed, opts)
         except NotConverged:
             continue
         hp = cand.hp
-        if not window.contains(hp):
+        if not cmap.window.contains(hp):
             continue
         if all(max(abs(hp.h_i - o.h_i), abs(hp.h_f - o.h_f)) >= dedup_tol for o in roots):
             roots.append(hp)
     roots.sort(key=lambda p: (p.h_i, p.h_f))
     return roots
+
+
+def enumerate_roots(
+    inst: ProblemInstance,
+    stype: SolutionType,
+    window: GridWindow,
+    residual_tol: float | None = None,
+    dedup_tol: float = DEFAULT_DEDUP_TOL,
+) -> list[HPair]:
+    """All roots of one type inside the window: refine_roots on a freshly
+    sampled contour map of it."""
+    return refine_roots(inst, build_contours(inst, stype, window), residual_tol, dedup_tol)
 
 
 def enumerate_all_types(

@@ -131,15 +131,10 @@ def _seed_arrays(inst: ProblemInstance, policy: SeedPolicy) -> tuple[np.ndarray,
     )
 
 
-def _ray_batch(inst: ProblemInstance, n: int) -> _batch.RayBatch:
-    return _batch.RayBatch.build(
-        inst.start.position.as_tuple(),
-        inst.start.direction.as_tuple(),
-        inst.goal.position.as_tuple(),
-        inst.goal.direction.as_tuple(),
-        inst.radius,
-        n,
-    )
+def runaway_limit(span: float) -> float:
+    """Offset magnitude past which a Newton iterate seeded over +-span is
+    abandoned as running away."""
+    return max(1e3, RUNAWAY_SCALE * span)
 
 
 def _candidate(inst: ProblemInstance, stype: SolutionType, hp: HPair, iterations: int, seed: HPair) -> SolutionCandidate:
@@ -160,7 +155,7 @@ def solve_type(
     """
     opts = opts or SolverOptions()
     tol = opts.resolved_tol(inst)
-    rb = _ray_batch(inst, 1)
+    rb = _batch.RayBatch.from_instance(inst, 1)
     res = _batch.newton(
         rb,
         stype,
@@ -206,9 +201,8 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
         raise col
     tol = opts.resolved_tol(inst)
     hi0, hf0 = _seed_arrays(inst, opts.seed_policy)
-    rb = _ray_batch(inst, len(hi0))
-    span = inst.chord + 4.0 * inst.radius
-    h_limit = max(1e3, RUNAWAY_SCALE * span)
+    rb = _batch.RayBatch.from_instance(inst, len(hi0))
+    h_limit = runaway_limit(inst.chord + 4.0 * inst.radius)
 
     out: list[SolutionCandidate] = []
     for stype in ALL_TYPES:

@@ -1,8 +1,9 @@
 """Solution-space studies: parameter sweeps, seed sensitivity, gradient use.
 
-All studies run the damped-Newton machinery in cross-problem batches (one
-array element per grid cell or random case) so full sweeps stay fast, and all
-are deterministic for fixed inputs.
+All studies run the damped-Newton machinery in cross-problem batches so full
+sweeps stay fast: a sweep solves each type in one batch of every (cell, seed)
+pair, the gradient study one element per random case.  All are
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import RayBatch, eval_ahead, newton
+from .batch import RayBatch, directionally_valid, eval_ahead, newton
 from .geom import EPS_ZERO
 from .residual import ALL_TYPES, SolutionType
 from .scenarios import Scenario
-from .solver import RESIDUAL_TOL_SCALE
+from .solver import DEFAULT_DEDUP_TOL, RESIDUAL_TOL_SCALE, runaway_limit
 
 SWEEP_MODES = ("planar", "nonplanar")
 # Swept axis ranges: positions on [-6, 6] (inclusive, symmetric about 0) and
@@ -100,11 +101,15 @@ class SweepResult:
 def run_sweep(spec: SweepSpec, radius: float = 1.0, residual_tol: float | None = None) -> SweepResult:
     """Count directionally valid roots for every cell of the slice.
 
-    Cells are solved from the single seed (0, 0) unless robust_seeds is set,
-    in which case each cell also gets a 9 x 9 grid of seeds spanning its own
-    scale.  Collinear cells (goal on the start axis with matching heading)
-    cannot be expressed in the two-offset parametrization; they are flagged
-    and given count 1 when the straight connection itself is a valid path.
+    Each cell is solved from the single seed (0, 0), or with robust_seeds
+    from (0, 0) followed by a 9 x 9 grid of seeds spanning its own scale.
+    Per type, one Newton batch runs every (cell, seed) pair, cell-major so
+    each cell keeps its seed order; a cell's roots are merged first-seen
+    within DEFAULT_DEDUP_TOL, and the survivors are tested for direction in
+    one more batch.  Collinear cells (goal on the start axis with matching
+    heading) cannot be expressed in the two-offset parametrization; they are
+    flagged and given count 1 when the straight connection itself is a
+    valid path.
     """
     tol = residual_tol if residual_tol is not None else RESIDUAL_TOL_SCALE * radius
     name_a, name_b = spec.swept
@@ -135,57 +140,25 @@ def run_sweep(spec: SweepSpec, radius: float = 1.0, residual_tol: float | None =
     collinear = (dir_cross <= EPS_ZERO) & (np.abs(x) <= EPS_ZERO)
     straight_ok = collinear & (goal_dir[2] > 0) & (z >= -EPS_ZERO)
 
-    counts_reg = np.zeros(n, np.int64)
-    counts_sw = np.zeros(n, np.int64)
-    chord = np.sqrt(x * x + z * z)
-    span = chord + 4.0 * radius
-    if spec.robust_seeds:
-        fracs = np.linspace(-1.0, 1.0, 9)
-        seed_fracs = [(0.0, 0.0)] + [(a, b) for a in fracs for b in fracs]
-    else:
-        seed_fracs = [(0.0, 0.0)]
-    for stype in ALL_TYPES:
-        found = np.zeros(n, bool)
-        root_hi = np.full(n, np.nan)
-        root_hf = np.full(n, np.nan)
-        roots_per_cell: list[list[tuple[float, float]]] | None = [[] for _ in range(n)] if spec.robust_seeds else None
-        for fa, fb in seed_fracs:
-            res = newton(rb, stype, fa * span, fb * span, tol, max_iters=60, h_limit=max(1e3, 100.0 * float(span.max())))
-            if roots_per_cell is None:
-                newly = res.converged & ~found
-                root_hi[newly] = res.h_i[newly]
-                root_hf[newly] = res.h_f[newly]
-                found |= newly
-            else:
-                for q in np.flatnonzero(res.converged):
-                    cell = roots_per_cell[q]
-                    a, b = float(res.h_i[q]), float(res.h_f[q])
-                    if all(max(abs(a - c), abs(b - d)) >= 1e-6 for c, d in cell):
-                        cell.append((a, b))
-        if roots_per_cell is None:
-            ahead = eval_ahead(rb, stype, root_hi, root_hf)
-            valid = found & np.isfinite(ahead)
-            if stype.switched:
-                valid &= ahead <= EPS_ZERO
-            else:
-                valid &= ahead >= -EPS_ZERO
-            if stype.switched:
-                counts_sw += valid
-            else:
-                counts_reg += valid
-        else:
-            for q, cell in enumerate(roots_per_cell):
-                for a, b in cell:
-                    ahead = eval_ahead(rb.take(np.array([q])), stype, np.array([a]), np.array([b]))[0]
-                    if not np.isfinite(ahead):
-                        continue
-                    ok = ahead <= EPS_ZERO if stype.switched else ahead >= -EPS_ZERO
-                    if ok:
-                        if stype.switched:
-                            counts_sw[q] += 1
-                        else:
-                            counts_reg[q] += 1
+    span = np.sqrt(x * x + z * z) + 4.0 * radius
+    # seeds as fractions of the span: (0, 0), then with robust_seeds a 9 x 9 grid
+    grid = np.linspace(-1.0, 1.0, 9 if spec.robust_seeds else 0)
+    frac_i, frac_f = (np.concatenate([[0.0], f.ravel()]) for f in np.meshgrid(grid, grid, indexing="ij"))
+    k = frac_i.size
+    cell = np.repeat(np.arange(n), k)  # element q solves cell q // k from seed q % k
+    tiled = rb if k == 1 else rb.take(cell)
+    hi0 = np.tile(frac_i, n) * span[cell]
+    hf0 = np.tile(frac_f, n) * span[cell]
+    h_limit = runaway_limit(float(span.max()))
 
+    counts = {False: np.zeros(n, np.int64), True: np.zeros(n, np.int64)}
+    for stype in ALL_TYPES:
+        res = newton(tiled, stype, hi0, hf0, tol, max_iters=60, h_limit=h_limit)
+        kept = _first_distinct(cell, res.h_i, res.h_f, np.flatnonzero(res.converged))
+        ahead = eval_ahead(tiled.take(kept), stype, res.h_i[kept], res.h_f[kept])
+        np.add.at(counts[stype.switched], cell[kept[directionally_valid(stype, ahead)]], 1)
+
+    counts_reg, counts_sw = counts[False], counts[True]
     counts_reg[collinear] = 0
     counts_sw[collinear] = 0
     total = counts_reg + counts_sw
@@ -201,6 +174,22 @@ def run_sweep(spec: SweepSpec, radius: float = 1.0, residual_tol: float | None =
         counts_sw.reshape(shape),
         collinear.reshape(shape).astype(np.int64),
     )
+
+
+def _first_distinct(cell: np.ndarray, h_i: np.ndarray, h_f: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The elements of `order` (ascending, so in seed order within a cell) not
+    within DEFAULT_DEDUP_TOL, in max-norm, of an earlier kept one of their
+    cell.  Each round keeps every cell's first remaining element and drops
+    the remaining ones within the tolerance of it.
+    """
+    kept = [order[:0]]
+    while order.size:
+        starts = np.r_[True, cell[order[1:]] != cell[order[:-1]]]
+        lead = order[starts][np.cumsum(starts) - 1]
+        dist = np.fmax(np.abs(h_i[order] - h_i[lead]), np.abs(h_f[order] - h_f[lead]))
+        kept.append(order[starts])
+        order = order[dist >= DEFAULT_DEDUP_TOL]
+    return np.concatenate(kept)
 
 
 @dataclass(frozen=True)
@@ -227,14 +216,7 @@ def run_seed_study(
     a, b = np.meshgrid(vals, vals, indexing="ij")
     hi0 = a.ravel()
     hf0 = b.ravel()
-    rb = RayBatch.build(
-        inst.start.position.as_tuple(),
-        inst.start.direction.as_tuple(),
-        inst.goal.position.as_tuple(),
-        inst.goal.direction.as_tuple(),
-        inst.radius,
-        hi0.size,
-    )
+    rb = RayBatch.from_instance(inst, hi0.size)
     rows: list[SeedStudyRow] = []
     for tid in type_ids:
         stype = SolutionType.from_id(tid)
@@ -293,17 +275,12 @@ def run_gradient_study(n_cases: int, rng_seed: int, radius: float = 1.0) -> list
         n_cases,
     )
     counts = {True: np.zeros(n_cases, np.int64), False: np.zeros(n_cases, np.int64)}
-    h_limit = max(1e3, 100.0 * float(span.max()))
+    h_limit = runaway_limit(float(span.max()))
     for stype in ALL_TYPES:
         for use_gradient in (True, False):
             res = newton(rb, stype, hi0, hf0, tol, max_iters=100, use_gradient=use_gradient, h_limit=h_limit)
             ahead = eval_ahead(rb, stype, res.h_i, res.h_f)
-            valid = res.converged & np.isfinite(ahead)
-            if stype.switched:
-                valid &= ahead <= EPS_ZERO
-            else:
-                valid &= ahead >= -EPS_ZERO
-            counts[use_gradient] += valid
+            counts[use_gradient] += res.converged & directionally_valid(stype, ahead)
     angles = np.arccos(np.clip(vf[:, 2], -1.0, 1.0))  # angle from the +z start heading
     return [
         GradientStudyRow(k, float(chord[k]), float(angles[k]), int(counts[True][k]), int(counts[False][k]))

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from dubins3d.geom import instance
-from dubins3d.oracle import GridWindow, build_contours, enumerate_roots
+from dubins3d.oracle import GridWindow, build_contours, enumerate_roots, refine_roots
 from dubins3d.path import check_directionality, extract_path, verify_path
 from dubins3d.residual import ALL_TYPES, HPair, SolutionType, jacobian, residuals
 from dubins3d.scenarios import load_bundled
@@ -93,8 +93,9 @@ def test_c1_planar_close_recorded_invalid_type6():
     filtered = [(t, r) for t, _, _, r in root_table(invalid)]
     t6 = SolutionType.from_id(6)
     wide = GridWindow.square(2 * (inst.chord + 4.0 * inst.radius), 800)
-    t6_roots = enumerate_roots(inst, t6, wide)
-    t6_floor = residual_floor(build_contours(inst, t6, wide))
+    t6_map = build_contours(inst, t6, wide)
+    t6_roots = refine_roots(inst, t6_map)
+    t6_floor = residual_floor(t6_map)
     expected = [(5, "switched_forward"), (7, "switched_forward"), (8, "switched_forward")]
     ok = valid_ids == [1, 2, 4] and filtered == expected and not t6_roots and t6_floor >= 1.0
     detail = f"valid={valid_ids} filtered={filtered} t6_roots={len(t6_roots)} t6_floor={t6_floor:.3f}"
@@ -179,8 +180,8 @@ def test_c1_nonplanar_close_2_recorded_types():
     got = sorted(c.type_id for c in valid)
     t1 = SolutionType.from_id(1)
     window = GridWindow.for_instance(inst)
-    t1_roots = enumerate_roots(inst, t1, window)
     cmap = build_contours(inst, t1, window)
+    t1_roots = refine_roots(inst, cmap)
     cells = cmap.intersection_cells()
     h_i, h_f = cmap.h_i_nodes, cmap.h_f_nodes
     cell_windows = [GridWindow((h_i[i], h_i[i + 1]), (h_f[j], h_f[j + 1]), 32) for i, j in cells]

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dubins3d.batch import RayBatch, eval_ahead, eval_fd_jacobian, eval_residuals, newton
-from dubins3d.geom import instance
+from dubins3d.batch import RayBatch, directionally_valid, eval_ahead, eval_fd_jacobian, eval_residuals, newton
+from dubins3d.geom import EPS_ZERO, instance
+from dubins3d.path import check_directionality
 from dubins3d.residual import (
     ALL_TYPES,
     CoincidentHPoints,
@@ -15,17 +16,7 @@ from dubins3d.residual import (
     jacobian,
     residuals,
 )
-
-
-def ray_batch(inst, n):
-    return RayBatch.build(
-        inst.start.position.as_tuple(),
-        inst.start.direction.as_tuple(),
-        inst.goal.position.as_tuple(),
-        inst.goal.direction.as_tuple(),
-        inst.radius,
-        n,
-    )
+from dubins3d.solver import SolutionCandidate
 
 
 def random_instance(rng):
@@ -45,10 +36,11 @@ def test_batch_matches_scalar_reference():
         inst = random_instance(rng)
         his = rng.uniform(-8, 8, 32)
         hfs = rng.uniform(-8, 8, 32)
-        rb = ray_batch(inst, 32)
+        rb = RayBatch.from_instance(inst, 32)
         for stype in ALL_TYPES:
             p_i, p_f, J = eval_residuals(rb, stype, his, hfs, jac=True)
             ahead = eval_ahead(rb, stype, his, hfs)
+            valid = directionally_valid(stype, ahead)
             for k in range(32):
                 try:
                     res, geo = residuals(inst, stype, HPair(his[k], hfs[k]))
@@ -63,14 +55,24 @@ def test_batch_matches_scalar_reference():
                     assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
                 want_ahead = (geo.c_f - geo.c_i).dot(geo.hdir)
                 assert ahead[k] == pytest.approx(want_ahead, rel=1e-11, abs=1e-11)
+                hp = HPair(his[k], hfs[k])
+                assert valid[k] == check_directionality(SolutionCandidate(stype, hp, res, geo, 0, hp)).valid
                 checked += 1
     assert checked > 2000
+
+
+def test_directionally_valid_boundary_and_singular():
+    # a separation within EPS_ZERO is a degenerate segment, valid for both
+    # kinds (as in check_directionality); NaN marks singular geometry
+    ahead = np.array([-1.0, -0.5 * EPS_ZERO, 0.0, 0.5 * EPS_ZERO, 1.0, np.nan])
+    assert directionally_valid(ALL_TYPES[0], ahead).tolist() == [False, True, True, True, True, False]
+    assert directionally_valid(ALL_TYPES[4], ahead).tolist() == [True, True, True, True, False, False]
 
 
 def test_fd_jacobian_close_to_analytic():
     rng = np.random.default_rng(12)
     inst = random_instance(rng)
-    rb = ray_batch(inst, 64)
+    rb = RayBatch.from_instance(inst, 64)
     his = rng.uniform(-4, 4, 64)
     hfs = rng.uniform(-4, 4, 64)
     for stype in ALL_TYPES[:2]:
@@ -83,7 +85,7 @@ def test_fd_jacobian_close_to_analytic():
 
 def test_newton_polishes_seeds_near_roots():
     inst = instance((0, 0, 0), (0, 0, 1), (-1, 0, 3), (1, 0, 1))
-    rb = ray_batch(inst, 2)
+    rb = RayBatch.from_instance(inst, 2)
     stype = ALL_TYPES[0]
     res = newton(rb, stype, np.array([-0.3, 5.0]), np.array([-0.8, 5.0]), 1e-9)
     assert res.converged[0]
@@ -95,7 +97,7 @@ def test_newton_polishes_seeds_near_roots():
 
 def test_newton_zero_iterations_at_root():
     inst = instance((0, 0, 0), (0, 0, 1), (-1, 0, 3), (1, 0, 1))
-    rb = ray_batch(inst, 1)
+    rb = RayBatch.from_instance(inst, 1)
     stype = ALL_TYPES[0]
     first = newton(rb, stype, np.array([0.0]), np.array([0.0]), 1e-9)
     assert first.converged[0]
@@ -116,7 +118,7 @@ def test_newton_gradient_flag_switches_jacobian_path(monkeypatch):
 
     monkeypatch.setattr(batch_mod, "eval_fd_jacobian", spy)
     inst = instance((0, 0, 0), (0, 0, 1), (-1, 0, 3), (1, 0, 1))
-    rb = ray_batch(inst, 1)
+    rb = RayBatch.from_instance(inst, 1)
     res = newton(rb, ALL_TYPES[0], np.array([0.0]), np.array([0.0]), 1e-9, use_gradient=False)
     assert res.converged[0]
     assert calls["fd"] > 0

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from dubins3d.geom import instance
+from dubins3d.path import check_directionality
 from dubins3d.scenarios import Scenario, load_bundled
-from dubins3d.solver import SolverOptions
+from dubins3d.solver import CollinearInstance, SolverOptions, solve_all
 from dubins3d.studies import (
     SweepSpec,
     axis_values,
@@ -81,6 +83,28 @@ def test_robust_seeds_find_no_fewer():
     a = run_sweep(spec1)
     b = run_sweep(spec2)
     assert (b.counts >= a.counts).all()
+
+
+@pytest.mark.parametrize("mode, fixed", [("planar", ("angle", 0.0)), ("nonplanar", ("angle", 2.0))])
+def test_robust_sweep_counts_equal_solve_all_per_cell(mode, fixed):
+    # the planar aligned slice includes the collinear x = 0 column
+    result = run_sweep(SweepSpec(mode, fixed, steps=5, robust_seeds=True))
+    assert result.axis_names == ("x", "z")
+    for i, x in enumerate(result.axis_a):
+        for j, z in enumerate(result.axis_b):
+            theta = fixed[1]
+            goal_dir = (-math.sin(theta), 0.0, math.cos(theta)) if mode == "planar" else (math.cos(theta), math.sin(theta), 0.0)
+            inst = instance((0, 0, 0), (0, 0, 1), (float(x), 0.0, float(z)), goal_dir)
+            try:
+                valid = [c for c in solve_all(inst, SolverOptions(max_iters=60)) if check_directionality(c).valid]
+            except CollinearInstance as col:
+                assert result.collinear[i, j] == 1
+                assert result.counts[i, j] == int(col.aligned)
+                continue
+            assert result.collinear[i, j] == 0
+            assert result.counts[i, j] == len(valid)
+            assert result.counts_regular[i, j] == sum(not c.stype.switched for c in valid)
+            assert result.counts_switched[i, j] == sum(c.stype.switched for c in valid)
 
 
 def test_seed_study_maps_seed_to_root():
