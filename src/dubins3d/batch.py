@@ -202,6 +202,10 @@ class NewtonResult:
     converged: np.ndarray
     iterations: np.ndarray
 
+    def max_abs(self) -> np.ndarray:
+        """max(|p_i|, |p_f|) per element (NaN where not converged)."""
+        return np.fmax(np.abs(self.p_i), np.abs(self.p_f))
+
 
 def newton(
     batch: RayBatch,

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .geom import DubinsError, ProblemInstance
@@ -172,15 +172,7 @@ def _options_from_args(scenario: Scenario, args) -> SolverOptions:
         changes["seed_policy"] = SingleSeed(args.seed[0], args.seed[1])
     elif getattr(args, "robust", False):
         changes["seed_policy"] = SeedGrid()
-    if changes:
-        opts = SolverOptions(
-            residual_tol=opts.residual_tol,
-            max_iters=opts.max_iters,
-            seed_policy=changes.get("seed_policy", opts.seed_policy),
-            dedup_tol=opts.dedup_tol,
-            use_gradient=changes.get("use_gradient", opts.use_gradient),
-        )
-    return opts
+    return replace(opts, **changes)
 
 
 def cmd_solve(args) -> int:

@@ -2,9 +2,9 @@
 
 Independent of the multistart solver's seeding: residual fields are sampled
 on a dense grid, cells where both fields change sign are detected in
-marching-squares fashion, and each such cell is polished by a local Newton
-refinement.  Used to audit solver completeness and to export residual fields
-for plotting.
+marching-squares fashion, and one Newton batch refines from the centre of
+every such cell.  Used to audit solver completeness and to export residual
+fields for plotting.
 """
 
 from __future__ import annotations
@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import batch as _batch
 from .batch import RayBatch, eval_residuals
 from .geom import ProblemInstance
-from .residual import HPair, SolutionType
-from .solver import DEFAULT_DEDUP_TOL, RESIDUAL_TOL_SCALE, NotConverged, SingleSeed, SolverOptions, solve_type
+from .residual import ALL_TYPES, HPair, SolutionType
+from .solver import DEFAULT_DEDUP_TOL, RESIDUAL_TOL_SCALE, dedup
+from .solver import solve_type  # noqa: F401  unused here; bench/tracing.py wraps oracle.solve_type
 
 # Node values this close to zero count as crossings so roots sitting exactly
 # on grid lines are not silently dropped.
@@ -54,10 +56,14 @@ class GridWindow:
             np.linspace(self.h_f_range[0], self.h_f_range[1], self.resolution + 1),
         )
 
-    def contains(self, hp: HPair, slack: float = 1e-9) -> bool:
+    def contains(self, hp, slack: float = 1e-9):
+        """Whether hp lies in the window; hp is anything with h_i and h_f,
+        either floats (an HPair) or arrays (a NewtonResult, elementwise)."""
         return (
-            self.h_i_range[0] - slack <= hp.h_i <= self.h_i_range[1] + slack
-            and self.h_f_range[0] - slack <= hp.h_f <= self.h_f_range[1] + slack
+            (self.h_i_range[0] - slack <= hp.h_i)
+            & (hp.h_i <= self.h_i_range[1] + slack)
+            & (self.h_f_range[0] - slack <= hp.h_f)
+            & (hp.h_f <= self.h_f_range[1] + slack)
         )
 
 
@@ -125,29 +131,22 @@ def refine_roots(
     residual_tol: float | None = None,
     dedup_tol: float = DEFAULT_DEDUP_TOL,
 ) -> list[HPair]:
-    """All roots of the map's type inside its window, found by refining
-    every cell where both residual fields change sign.
+    """All roots of the map's type inside its window, found by one Newton
+    batch seeded at the centre of every cell where both residual fields
+    change sign.
 
     Refined roots that escape the window are discarded; the rest are merged
-    within dedup_tol and returned sorted by (h_i, h_f).
+    within dedup_tol (smallest residual wins) and returned sorted by
+    (h_i, h_f).
     """
     tol = residual_tol if residual_tol is not None else RESIDUAL_TOL_SCALE * inst.radius
-    opts = SolverOptions(residual_tol=tol, max_iters=60, seed_policy=SingleSeed())
-    roots: list[HPair] = []
-    for i, j in cmap.intersection_cells():
-        seed = HPair(
-            0.5 * (cmap.h_i_nodes[i] + cmap.h_i_nodes[i + 1]),
-            0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1]),
-        )
-        try:
-            cand = solve_type(inst, cmap.stype, seed, opts)
-        except NotConverged:
-            continue
-        hp = cand.hp
-        if not cmap.window.contains(hp):
-            continue
-        if all(max(abs(hp.h_i - o.h_i), abs(hp.h_f - o.h_f)) >= dedup_tol for o in roots):
-            roots.append(hp)
+    i, j = cmap.intersection_cells().T
+    hi0 = 0.5 * (cmap.h_i_nodes[i] + cmap.h_i_nodes[i + 1])
+    hf0 = 0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1])
+    res = _batch.newton(RayBatch.from_instance(inst, hi0.size), cmap.stype, hi0, hf0, tol, max_iters=60)
+    cand = np.flatnonzero(res.converged & cmap.window.contains(res))
+    kept = dedup(cand, np.zeros(hi0.size, np.int64), res.h_i, res.h_f, res.max_abs(), dedup_tol)
+    roots = [HPair(float(res.h_i[q]), float(res.h_f[q])) for q in kept]
     roots.sort(key=lambda p: (p.h_i, p.h_f))
     return roots
 
@@ -170,6 +169,4 @@ def enumerate_all_types(
     residual_tol: float | None = None,
 ) -> dict[int, list[HPair]]:
     """enumerate_roots for every type, keyed by type id."""
-    from .residual import ALL_TYPES
-
     return {t.type_id: enumerate_roots(inst, t, window, residual_tol) for t in ALL_TYPES}

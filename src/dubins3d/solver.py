@@ -1,10 +1,12 @@
 """Multistart damped-Newton root finding over the eight solution types.
 
 Each type's 2x2 tangency system is solved from a set of seeds (a single seed
-or a grid spanning the instance scale), converged iterates are re-verified
-through the scalar evaluation path, near-identical roots are merged, and the
-survivors come back in a deterministic order.  Directional validity is a
-separate concern handled by the `path` module.
+or a grid spanning the instance scale) in one Newton batch per type.  The
+converged iterates of all types are merged in arrays first, the smallest
+residual winning each cluster; only the survivors are then re-verified
+through the scalar evaluation path, and they come back in a deterministic
+order.  Directional validity is a separate concern handled by the `path`
+module.
 """
 
 from __future__ import annotations
@@ -171,21 +173,31 @@ def solve_type(
     return _candidate(inst, stype, hp, int(res.iterations[0]), seed)
 
 
-def dedup(cands: list[SolutionCandidate], tol: float = DEFAULT_DEDUP_TOL) -> list[SolutionCandidate]:
-    """Merge same-type candidates whose offsets differ by < tol in max-norm,
-    keeping the one with the smaller residual."""
-    kept: list[SolutionCandidate] = []
-    for cand in cands:
-        for i, other in enumerate(kept):
-            if other.stype != cand.stype:
-                continue
-            if max(abs(other.hp.h_i - cand.hp.h_i), abs(other.hp.h_f - cand.hp.h_f)) < tol:
-                if cand.residual.max_abs() < other.residual.max_abs():
-                    kept[i] = cand
-                break
-        else:
-            kept.append(cand)
-    return kept
+def dedup(
+    cand: np.ndarray,
+    group: np.ndarray,
+    h_i: np.ndarray,
+    h_f: np.ndarray,
+    resid: np.ndarray,
+    tol: float = DEFAULT_DEDUP_TOL,
+) -> np.ndarray:
+    """The indices in `cand` that survive merging within each group.
+
+    group, h_i, h_f and resid are indexed by element.  Candidates of one
+    group whose offsets differ by < tol in max-norm merge and the smallest
+    residual wins, ties going to the lower index: each round keeps every
+    group's smallest-residual remaining candidate and drops the remaining
+    ones within tol of it.
+    """
+    order = cand[np.lexsort((cand, resid[cand], group[cand]))]
+    kept = [order[:0]]
+    while order.size:
+        starts = np.r_[True, group[order[1:]] != group[order[:-1]]]
+        lead = order[starts][np.cumsum(starts) - 1]
+        dist = np.fmax(np.abs(h_i[order] - h_i[lead]), np.abs(h_f[order] - h_f[lead]))
+        kept.append(order[starts])
+        order = order[dist >= tol]
+    return np.concatenate(kept)
 
 
 def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[SolutionCandidate]:
@@ -203,10 +215,8 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
     hi0, hf0 = _seed_arrays(inst, opts.seed_policy)
     rb = _batch.RayBatch.from_instance(inst, len(hi0))
     h_limit = runaway_limit(inst.chord + 4.0 * inst.radius)
-
-    out: list[SolutionCandidate] = []
-    for stype in ALL_TYPES:
-        res = _batch.newton(
+    runs = [
+        _batch.newton(
             rb,
             stype,
             hi0,
@@ -216,13 +226,24 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
             use_gradient=opts.use_gradient,
             h_limit=h_limit,
         )
-        cands = []
-        for q in np.flatnonzero(res.converged):
-            hp = HPair(float(res.h_i[q]), float(res.h_f[q]))
-            cand = _candidate(inst, stype, hp, int(res.iterations[q]), HPair(float(hi0[q]), float(hf0[q])))
-            # re-verified through the scalar path; drop anything that drifted
-            if cand.residual.max_abs() <= tol:
-                cands.append(cand)
-        out.extend(dedup(cands, opts.dedup_tol))
+        for stype in ALL_TYPES
+    ]
+    # element q is type ALL_TYPES[q // k] from seed q % k
+    k = len(hi0)
+    group = np.repeat(np.arange(len(ALL_TYPES)), k)
+    h_i = np.concatenate([r.h_i for r in runs])
+    h_f = np.concatenate([r.h_f for r in runs])
+    resid = np.concatenate([r.max_abs() for r in runs])
+    iterations = np.concatenate([r.iterations for r in runs])
+    converged = np.flatnonzero(np.concatenate([r.converged for r in runs]))
+
+    out: list[SolutionCandidate] = []
+    for q in dedup(converged, group, h_i, h_f, resid, opts.dedup_tol):
+        hp = HPair(float(h_i[q]), float(h_f[q]))
+        seed = HPair(float(hi0[q % k]), float(hf0[q % k]))
+        cand = _candidate(inst, ALL_TYPES[group[q]], hp, int(iterations[q]), seed)
+        # re-verified through the scalar path; drop anything that drifted
+        if cand.residual.max_abs() <= tol:
+            out.append(cand)
     out.sort(key=lambda c: (c.type_id, c.hp.h_i, c.hp.h_f))
     return out

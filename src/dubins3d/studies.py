@@ -2,7 +2,8 @@
 
 All studies run the damped-Newton machinery in cross-problem batches so full
 sweeps stay fast: a sweep solves each type in one batch of every (cell, seed)
-pair, the gradient study one element per random case.  All are
+pair and merges each cell's roots with `solver.dedup` (smallest residual
+wins), the gradient study one element per random case.  All are
 deterministic for fixed inputs.
 """
 
@@ -17,7 +18,7 @@ from .batch import RayBatch, directionally_valid, eval_ahead, newton
 from .geom import EPS_ZERO
 from .residual import ALL_TYPES, SolutionType
 from .scenarios import Scenario
-from .solver import DEFAULT_DEDUP_TOL, RESIDUAL_TOL_SCALE, runaway_limit
+from .solver import RESIDUAL_TOL_SCALE, dedup, runaway_limit
 
 SWEEP_MODES = ("planar", "nonplanar")
 # Swept axis ranges: positions on [-6, 6] (inclusive, symmetric about 0) and
@@ -103,13 +104,12 @@ def run_sweep(spec: SweepSpec, radius: float = 1.0, residual_tol: float | None =
 
     Each cell is solved from the single seed (0, 0), or with robust_seeds
     from (0, 0) followed by a 9 x 9 grid of seeds spanning its own scale.
-    Per type, one Newton batch runs every (cell, seed) pair, cell-major so
-    each cell keeps its seed order; a cell's roots are merged first-seen
-    within DEFAULT_DEDUP_TOL, and the survivors are tested for direction in
-    one more batch.  Collinear cells (goal on the start axis with matching
-    heading) cannot be expressed in the two-offset parametrization; they are
-    flagged and given count 1 when the straight connection itself is a
-    valid path.
+    Per type, one Newton batch runs every (cell, seed) pair; `dedup` with
+    group = cell merges each cell's roots (smallest residual wins), and the
+    survivors are tested for direction in one more batch.  Collinear cells
+    (goal on the start axis with matching heading) cannot be expressed in
+    the two-offset parametrization; they are flagged and given count 1 when
+    the straight connection itself is a valid path.
     """
     tol = residual_tol if residual_tol is not None else RESIDUAL_TOL_SCALE * radius
     name_a, name_b = spec.swept
@@ -154,7 +154,7 @@ def run_sweep(spec: SweepSpec, radius: float = 1.0, residual_tol: float | None =
     counts = {False: np.zeros(n, np.int64), True: np.zeros(n, np.int64)}
     for stype in ALL_TYPES:
         res = newton(tiled, stype, hi0, hf0, tol, max_iters=60, h_limit=h_limit)
-        kept = _first_distinct(cell, res.h_i, res.h_f, np.flatnonzero(res.converged))
+        kept = dedup(np.flatnonzero(res.converged), cell, res.h_i, res.h_f, res.max_abs())
         ahead = eval_ahead(tiled.take(kept), stype, res.h_i[kept], res.h_f[kept])
         np.add.at(counts[stype.switched], cell[kept[directionally_valid(stype, ahead)]], 1)
 
@@ -174,22 +174,6 @@ def run_sweep(spec: SweepSpec, radius: float = 1.0, residual_tol: float | None =
         counts_sw.reshape(shape),
         collinear.reshape(shape).astype(np.int64),
     )
-
-
-def _first_distinct(cell: np.ndarray, h_i: np.ndarray, h_f: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """The elements of `order` (ascending, so in seed order within a cell) not
-    within DEFAULT_DEDUP_TOL, in max-norm, of an earlier kept one of their
-    cell.  Each round keeps every cell's first remaining element and drops
-    the remaining ones within the tolerance of it.
-    """
-    kept = [order[:0]]
-    while order.size:
-        starts = np.r_[True, cell[order[1:]] != cell[order[:-1]]]
-        lead = order[starts][np.cumsum(starts) - 1]
-        dist = np.fmax(np.abs(h_i[order] - h_i[lead]), np.abs(h_f[order] - h_f[lead]))
-        kept.append(order[starts])
-        order = order[dist >= DEFAULT_DEDUP_TOL]
-    return np.concatenate(kept)
 
 
 @dataclass(frozen=True)

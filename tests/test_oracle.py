@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from dubins3d.geom import instance
-from dubins3d.oracle import GridWindow, build_contours, enumerate_all_types, enumerate_roots
+from dubins3d.oracle import GridWindow, build_contours, enumerate_all_types, enumerate_roots, refine_roots
 from dubins3d.path import check_directionality
-from dubins3d.residual import ALL_TYPES, REGULAR_TYPES, SolutionType, residuals
+from dubins3d.residual import ALL_TYPES, REGULAR_TYPES, HPair, SolutionType, residuals
 from dubins3d.scenarios import load_bundled
-from dubins3d.solver import SeedGrid, SolverOptions, solve_all
+from dubins3d.solver import DEFAULT_DEDUP_TOL, NotConverged, SeedGrid, SingleSeed, SolverOptions, solve_all, solve_type
 
 PLANAR_FAR = load_bundled("planar_far").instance
 PLANAR_CLOSE = load_bundled("planar_close").instance
@@ -89,6 +89,43 @@ def test_seed_sensitivity_type6_roots():
         flags.append(check_directionality(cand).valid)
     assert sum(flags) == 2
     assert any(abs(hp.h_i + 1.804) < 1e-2 and abs(hp.h_f - 3.004) < 1e-2 for hp in roots)
+
+
+def _refine_per_cell(inst, cmap):
+    """Scalar reference for refine_roots: one solve_type per intersection
+    cell, seeded at its centre, kept when inside the window and first seen."""
+    opts = SolverOptions(max_iters=60, seed_policy=SingleSeed())
+    roots = []
+    for i, j in cmap.intersection_cells():
+        seed = HPair(
+            0.5 * (cmap.h_i_nodes[i] + cmap.h_i_nodes[i + 1]),
+            0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1]),
+        )
+        try:
+            hp = solve_type(inst, cmap.stype, seed, opts).hp
+        except NotConverged:
+            continue
+        if cmap.window.contains(hp) and all(
+            max(abs(hp.h_i - o.h_i), abs(hp.h_f - o.h_f)) >= DEFAULT_DEDUP_TOL for o in roots
+        ):
+            roots.append(hp)
+    return sorted(roots, key=lambda p: (p.h_i, p.h_f))
+
+
+def test_batched_refine_matches_per_cell_solve_type():
+    t6 = SolutionType.from_id(6)
+    cases = [(SEED_SENSITIVITY, t6, GridWindow.for_instance(SEED_SENSITIVITY))]
+    cases += [(PLANAR_CLOSE, t, GridWindow.for_instance(PLANAR_CLOSE)) for t in ALL_TYPES]
+    # seven cells of this window refine to the type-6 root (-3.327, 1.936)
+    # just outside it, which both paths must discard
+    cases.append((SEED_SENSITIVITY, t6, GridWindow.square(3.0, 64)))
+    for inst, stype, window in cases:
+        cmap = build_contours(inst, stype, window)
+        batched = refine_roots(inst, cmap)
+        scalar = _refine_per_cell(inst, cmap)
+        assert len(batched) == len(scalar), (stype, batched, scalar)
+        for a, b in zip(batched, scalar):
+            assert max(abs(a.h_i - b.h_i), abs(a.h_f - b.h_f)) <= 1e-8, (stype, a, b)
 
 
 def test_roots_reevaluate_below_tolerance():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dubins3d.geom import instance
@@ -93,19 +94,37 @@ def test_grid_seeds_find_at_least_single_seed_roots():
         assert n_grid >= n_single
 
 
+def _dedup(h_i, h_f, resid, group=None, tol=1e-6):
+    n = len(h_i)
+    group = np.zeros(n, np.int64) if group is None else np.asarray(group)
+    kept = dedup(np.arange(n), group, np.asarray(h_i, float), np.asarray(h_f, float), np.asarray(resid, float), tol)
+    return sorted(kept.tolist())
+
+
 def test_dedup_merges_copies_keeps_best():
-    cands = solve_all(PLANAR_FAR)
-    c = cands[0]
+    c = solve_all(PLANAR_FAR)[0]
     shifted = HPair(c.hp.h_i + 1e-8, c.hp.h_f - 1e-8)
-    res, geo = residuals(PLANAR_FAR, c.stype, shifted)
-    twin = type(c)(c.stype, shifted, res, geo, c.iterations, c.seed)
-    merged = dedup([c, twin], tol=1e-6)
-    assert len(merged) == 1
-    assert merged[0].residual.max_abs() == min(c.residual.max_abs(), res.max_abs())
-    assert dedup([], tol=1e-6) == []
+    res, _ = residuals(PLANAR_FAR, c.stype, shifted)
+    assert res.max_abs() > c.residual.max_abs()
+    # the copy merges into the root with the smaller residual, in either order
+    pair = [(c.hp, c.residual.max_abs()), (shifted, res.max_abs())]
+    for first in (0, 1):
+        (a, ra), (b, rb) = pair[first], pair[1 - first]
+        assert _dedup([a.h_i, b.h_i], [a.h_f, b.h_f], [ra, rb]) == [first]
+    none = np.array([], np.int64)
+    assert dedup(none, none, np.array([]), np.array([]), np.array([]), 1e-6).size == 0
     # distinct roots of one type survive
     t6 = [c for c in solve_all(SEED_SENSITIVITY) if c.type_id == 6]
-    assert len(dedup(t6, tol=1e-6)) == len(t6)
+    kept = _dedup([c.hp.h_i for c in t6], [c.hp.h_f for c in t6], [c.residual.max_abs() for c in t6])
+    assert kept == list(range(len(t6)))
+    # equal residuals: the lower index wins
+    assert _dedup([0.0, 1e-8], [0.0, 0.0], [1e-12, 1e-12]) == [0]
+    # equal offsets in different groups both survive
+    assert _dedup([1.0, 1.0], [2.0, 2.0], [1e-12, 1e-12], group=[0, 1]) == [0, 1]
+    # chain A-B-C: neighbours 0.6 tol apart, A and C 1.2 tol apart
+    chain = [0.0, 0.6e-6, 1.2e-6]
+    assert _dedup(chain, [0.0] * 3, [2e-12, 1e-12, 3e-12]) == [1]
+    assert _dedup(chain, [0.0] * 3, [1e-12, 2e-12, 3e-12]) == [0, 2]
 
 
 def test_collinear_detection():
