@@ -1,11 +1,12 @@
 """Vectorized evaluation and damped-Newton iteration over element batches.
 
-A batch couples per-element problem data (start/goal rays and radius, each
-component a scalar or an (N,) array) with per-element offsets, so the same
+A batch couples per-element problem data (start/goal rays, each component a
+scalar or an (N,) array) with per-element offsets, so the same
 machinery serves three workloads: many seeds on one problem (multistart),
 seeds on many problems at once (parameter sweeps), and grid refinement.
 Singular evaluations yield NaN and the owning element is dropped rather than
-patched.
+patched.  A batch holds instances scaled to unit radius, so offsets,
+residuals, tolerances and floors here are all in units of r.
 
 The formulas duplicate the scalar reference in `residual`; the test suite
 pins the two implementations against each other, and every root `solve_all`
@@ -45,36 +46,25 @@ class RayBatch:
     vi: Components
     xf: Components
     vf: Components
-    r: np.ndarray
 
     @classmethod
-    def build(cls, xi, vi, xf, vf, r, n: int) -> "RayBatch":
-        return cls(
-            _as_components(xi, n),
-            _as_components(vi, n),
-            _as_components(xf, n),
-            _as_components(vf, n),
-            np.broadcast_to(np.asarray(r, float), (n,)),
-        )
+    def build(cls, xi, vi, xf, vf, n: int) -> "RayBatch":
+        return cls(_as_components(xi, n), _as_components(vi, n), _as_components(xf, n), _as_components(vf, n))
 
     @classmethod
     def from_instance(cls, inst: ProblemInstance, n: int) -> "RayBatch":
-        """One problem instance broadcast to n elements."""
-        return cls.build(
-            inst.start.position.as_tuple(),
-            inst.start.direction.as_tuple(),
-            inst.goal.position.as_tuple(),
-            inst.goal.direction.as_tuple(),
-            inst.radius,
-            n,
-        )
+        """One problem instance, scaled to unit radius, broadcast to n
+        elements."""
+        u = inst.in_radius_units()
+        rays = (u.start.position, u.start.direction, u.goal.position, u.goal.direction)
+        return cls.build(*(v.as_tuple() for v in rays), n)
 
     def take(self, sel: np.ndarray) -> "RayBatch":
         pick = lambda v: tuple(c[sel] for c in v)
-        return RayBatch(pick(self.xi), pick(self.vi), pick(self.xf), pick(self.vf), self.r[sel])
+        return RayBatch(pick(self.xi), pick(self.vi), pick(self.xf), pick(self.vf))
 
     def __len__(self) -> int:
-        return self.r.shape[0]
+        return self.xi[0].shape[0]
 
 
 def _geometry(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndarray):
@@ -114,12 +104,12 @@ def eval_residuals(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.
     Returns (p_i, p_f, J) with NaN where the geometry is singular; J is None
     unless requested, else the tuple (dpi_dhi, dpi_dhf, dpf_dhi, dpf_dhf).
     """
-    vi, vf, r = batch.vi, batch.vf, batch.r
+    vi, vf = batch.vi, batch.vf
     geo = _geometry(batch, stype, hi, hf)
     _, _, _, d, (gx, gy, gz), ends, bad = geo
     (_, n_i, gv_i), (_, n_f, gv_f) = ends
-    p_i = np.where(bad, np.nan, hi + stype.start_sign * (r / n_i) * (1.0 - gv_i))
-    p_f = np.where(bad, np.nan, hf + stype.end_sign * (r / n_f) * (1.0 - gv_f))
+    p_i = np.where(bad, np.nan, hi + stype.start_sign * (1.0 / n_i) * (1.0 - gv_i))
+    p_f = np.where(bad, np.nan, hf + stype.end_sign * (1.0 / n_f) * (1.0 - gv_f))
     if not jac:
         return p_i, p_f, None
 
@@ -143,7 +133,7 @@ def eval_residuals(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.
             exz = v[0] * by - v[1] * bx
             dot_cb = cxx * exx + cxy * exy + cxz * exz
             bv = bx * v[0] + by * v[1] + bz * v[2]
-            entries.append(sign * r * (-bv / n - (1.0 - gv) * dot_cb / (n * n * n)))
+            entries.append(sign * (-bv / n - (1.0 - gv) * dot_cb / (n * n * n)))
     J = (
         np.where(bad, np.nan, entries[0] + 1.0),
         np.where(bad, np.nan, entries[1]),
@@ -158,14 +148,14 @@ def eval_ahead(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndar
 
     NaN where the geometry is singular.
     """
-    vi, vf, r = batch.vi, batch.vf, batch.r
+    vi, vf = batch.vi, batch.vf
     geo = _geometry(batch, stype, hi, hf)
     pt_i, pt_f, _, _, g, ends, bad = geo
     sgn = -1.0 if stype.switched else 1.0
     h = (sgn * g[0], sgn * g[1], sgn * g[2])
     centers = []
     for v, off, sign, (_, n, _) in zip((vi, vf), (pt_i, pt_f), (stype.start_sign, stype.end_sign), ends):
-        scale = sign * r / n
+        scale = sign / n
         centers.append(tuple(off[k] + scale * (v[k] - g[k]) for k in range(3)))
     c_i, c_f = centers
     ahead = sum((c_f[k] - c_i[k]) * h[k] for k in range(3))
@@ -176,7 +166,7 @@ def directionally_valid(stype: SolutionType, ahead: np.ndarray) -> np.ndarray:
     """Array form of `path.check_directionality` on eval_ahead's output.
 
     Regular roots need the goal-side circle ahead, switched roots behind it,
-    both within EPS_ZERO; NaN (singular geometry) is never valid.
+    both within EPS_ZERO r; NaN (singular geometry) is never valid.
     """
     if stype.switched:
         return ahead <= EPS_ZERO

@@ -1,7 +1,8 @@
 """Elementary 3D vector and configuration types shared by all modules.
 
 Positions and lengths are expressed in the same unit as the turn radius;
-angles are radians throughout.
+angles are radians throughout.  The solvers work in units of the radius
+(`ProblemInstance.in_radius_units`), so their answers do not depend on it.
 """
 
 from __future__ import annotations
@@ -9,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Vectors shorter than this are treated as zero; well below geometric noise
-# for radii of order one, well above double rounding.
+# Vectors shorter than this are treated as zero.  The solvers apply it in
+# units of the radius, well below geometric noise and well above double
+# rounding; the scalar `residual` reference and `path.check_directionality`
+# apply it in the instance's own units.
 EPS_ZERO = 1e-9
 
 _UNIT_TOL = 1e-12
@@ -127,6 +130,18 @@ class ProblemInstance:
     def chord(self) -> float:
         """Straight-line distance between start and goal positions."""
         return (self.goal.position - self.start.position).norm()
+
+    @property
+    def span(self) -> float:
+        """Default half-width of the solver's seed grid and the oracle's
+        window: chord + 4 radius."""
+        return self.chord + 4.0 * self.radius
+
+    def in_radius_units(self) -> "ProblemInstance":
+        """The same instance with every length divided by the radius."""
+        r = self.radius
+        scale = lambda c: Configuration(Vec3(c.position.x / r, c.position.y / r, c.position.z / r), c.direction)
+        return ProblemInstance(scale(self.start), scale(self.goal), 1.0)
 
 
 def instance(

@@ -4,7 +4,8 @@ Independent of the multistart solver's seeding: residual fields are sampled
 on a dense grid, cells where both fields change sign are detected in
 marching-squares fashion, and one Newton batch refines from the centre of
 every such cell.  Used to audit solver completeness and to export residual
-fields for plotting.
+fields for plotting.  As in `solver`, both run in units of the radius;
+windows, fields and roots are in the instance's own units.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from . import batch as _batch
 from .batch import RayBatch, eval_residuals
 from .geom import ProblemInstance
 from .residual import ALL_TYPES, HPair, SolutionType
-from .solver import DEFAULT_DEDUP_TOL, RESIDUAL_TOL_SCALE, dedup
+from .solver import DEFAULT_DEDUP_TOL, DEFAULT_RESIDUAL_TOL, dedup
 from .solver import solve_type  # noqa: F401  unused here; bench/tracing.py wraps oracle.solve_type
 
-# Node values this close to zero count as crossings so roots sitting exactly
-# on grid lines are not silently dropped.
+# Node values this close to zero (in units of r) count as crossings so roots
+# sitting exactly on grid lines are not silently dropped.
 ZERO_SNAP = 1e-12
 
 DEFAULT_RESOLUTION = 400
@@ -47,8 +48,8 @@ class GridWindow:
 
     @classmethod
     def for_instance(cls, inst: ProblemInstance, resolution: int = DEFAULT_RESOLUTION) -> "GridWindow":
-        """Default window scaled to the instance: chord + 4 radius per side."""
-        return cls.square(inst.chord + 4.0 * inst.radius, resolution)
+        """Default window scaled to the instance: `ProblemInstance.span`."""
+        return cls.square(inst.span, resolution)
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -105,68 +106,51 @@ def _cell_crossings(field: np.ndarray) -> np.ndarray:
 
 
 def build_contours(inst: ProblemInstance, stype: SolutionType, window: GridWindow) -> ContourMap:
-    """Sample both residual fields over the window and mark sign changes."""
+    """Sample both residual fields over the window and mark sign changes
+    (of the fields in units of r; the map holds them multiplied by r)."""
+    r = inst.radius
     hi_nodes, hf_nodes = window.nodes()
-    a, b = np.meshgrid(hi_nodes, hf_nodes, indexing="ij")
+    a, b = np.meshgrid(hi_nodes / r, hf_nodes / r, indexing="ij")
     p_i, p_f, _ = eval_residuals(RayBatch.from_instance(inst, a.size), stype, a.ravel(), b.ravel())
     p_i = p_i.reshape(a.shape)
     p_f = p_f.reshape(a.shape)
     singular = ~(np.isfinite(p_i) & np.isfinite(p_f))
-    return ContourMap(
-        stype,
-        window,
-        hi_nodes,
-        hf_nodes,
-        p_i,
-        p_f,
-        singular,
-        _cell_crossings(p_i),
-        _cell_crossings(p_f),
-    )
+    crossings_i, crossings_f = _cell_crossings(p_i), _cell_crossings(p_f)
+    p_i *= r
+    p_f *= r
+    return ContourMap(stype, window, hi_nodes, hf_nodes, p_i, p_f, singular, crossings_i, crossings_f)
 
 
-def refine_roots(
-    inst: ProblemInstance,
-    cmap: ContourMap,
-    residual_tol: float | None = None,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-) -> list[HPair]:
+def refine_roots(inst: ProblemInstance, cmap: ContourMap) -> list[HPair]:
     """All roots of the map's type inside its window, found by one Newton
     batch seeded at the centre of every cell where both residual fields
     change sign.
 
     Refined roots that escape the window are discarded; the rest are merged
-    within dedup_tol (smallest residual wins) and returned sorted by
-    (h_i, h_f).
+    within DEFAULT_DEDUP_TOL r (smallest residual wins) and returned sorted
+    by (h_i, h_f).
     """
-    tol = residual_tol if residual_tol is not None else RESIDUAL_TOL_SCALE * inst.radius
+    r = inst.radius
     i, j = cmap.intersection_cells().T
     hi0 = 0.5 * (cmap.h_i_nodes[i] + cmap.h_i_nodes[i + 1])
     hf0 = 0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1])
-    res = _batch.newton(RayBatch.from_instance(inst, hi0.size), cmap.stype, hi0, hf0, tol, max_iters=60)
+    rb = RayBatch.from_instance(inst, hi0.size)
+    res = _batch.newton(rb, cmap.stype, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, max_iters=60)
+    res.h_i *= r
+    res.h_f *= r
     cand = np.flatnonzero(res.converged & cmap.window.contains(res))
-    kept = dedup(cand, np.zeros(hi0.size, np.int64), res.h_i, res.h_f, res.max_abs(), dedup_tol)
+    kept = dedup(cand, np.zeros(hi0.size, np.int64), res.h_i, res.h_f, res.max_abs(), DEFAULT_DEDUP_TOL * r)
     roots = [HPair(float(res.h_i[q]), float(res.h_f[q])) for q in kept]
     roots.sort(key=lambda p: (p.h_i, p.h_f))
     return roots
 
 
-def enumerate_roots(
-    inst: ProblemInstance,
-    stype: SolutionType,
-    window: GridWindow,
-    residual_tol: float | None = None,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-) -> list[HPair]:
+def enumerate_roots(inst: ProblemInstance, stype: SolutionType, window: GridWindow) -> list[HPair]:
     """All roots of one type inside the window: refine_roots on a freshly
     sampled contour map of it."""
-    return refine_roots(inst, build_contours(inst, stype, window), residual_tol, dedup_tol)
+    return refine_roots(inst, build_contours(inst, stype, window))
 
 
-def enumerate_all_types(
-    inst: ProblemInstance,
-    window: GridWindow,
-    residual_tol: float | None = None,
-) -> dict[int, list[HPair]]:
+def enumerate_all_types(inst: ProblemInstance, window: GridWindow) -> dict[int, list[HPair]]:
     """enumerate_roots for every type, keyed by type id."""
-    return {t.type_id: enumerate_roots(inst, t, window, residual_tol) for t in ALL_TYPES}
+    return {t.type_id: enumerate_roots(inst, t, window) for t in ALL_TYPES}

@@ -184,7 +184,8 @@ def sample_path(path: CscPath, n: int) -> list[Vec3]:
 
 @dataclass(frozen=True)
 class PathReport:
-    """Per-check absolute errors from verify_path; ok when all are in tolerance."""
+    """Per-check errors from verify_path, each a length; ok when all are in
+    tolerance."""
 
     errors: dict[str, float]
     tol: float
@@ -202,7 +203,9 @@ def verify_path(path: CscPath, inst: ProblemInstance, tol: float | None = None) 
 
     Checks endpoint positions and tangents, tangent-continuous junctions,
     arc radii, turn angles within [0, 2 pi], segment/arc consistency, and the
-    straight-chord lower bound on the total length.
+    straight-chord lower bound on the total length.  Tangent and angle
+    errors have no unit; they are multiplied by r so that every entry is a
+    length, compared with the length tolerance tol (default 1e-8 r).
     """
     r = inst.radius
     if tol is None:
@@ -210,22 +213,22 @@ def verify_path(path: CscPath, inst: ProblemInstance, tol: float | None = None) 
     a1, seg, a2 = path.arc_start, path.segment, path.arc_end
     errors: dict[str, float] = {}
     errors["start_position"] = (a1.start_point - inst.start.position).norm()
-    errors["start_tangent"] = (a1.tangent_at(0.0) - inst.start.direction).norm()
+    errors["start_tangent"] = (a1.tangent_at(0.0) - inst.start.direction).norm() * r
     errors["end_position"] = (a2.end_point - inst.goal.position).norm()
-    errors["end_tangent"] = (a2.tangent_at(a2.angle) - inst.goal.direction).norm()
+    errors["end_tangent"] = (a2.tangent_at(a2.angle) - inst.goal.direction).norm() * r
     errors["junction_start_position"] = (a1.end_point - seg.start).norm()
     errors["junction_end_position"] = (a2.start_point - seg.end).norm()
     if seg.length > tol:
         seg_dir = (1.0 / seg.length) * (seg.end - seg.start)
-        errors["junction_start_tangent"] = (a1.tangent_at(a1.angle) - seg_dir).norm()
-        errors["junction_end_tangent"] = (a2.tangent_at(0.0) - seg_dir).norm()
+        errors["junction_start_tangent"] = (a1.tangent_at(a1.angle) - seg_dir).norm() * r
+        errors["junction_end_tangent"] = (a2.tangent_at(0.0) - seg_dir).norm() * r
     else:
         # degenerate segment: the arcs must hand off tangent to tangent
-        errors["junction_start_tangent"] = (a1.tangent_at(a1.angle) - a2.tangent_at(0.0)).norm()
+        errors["junction_start_tangent"] = (a1.tangent_at(a1.angle) - a2.tangent_at(0.0)).norm() * r
         errors["junction_end_tangent"] = 0.0
     for name, arc in (("start", a1), ("end", a2)):
         errors[f"{name}_arc_radius"] = abs((arc.start_point - arc.center).norm() - r) + abs(arc.radius - r)
-        errors[f"{name}_arc_angle_range"] = max(0.0, -arc.angle, arc.angle - 2.0 * math.pi)
+        errors[f"{name}_arc_angle_range"] = max(0.0, -arc.angle, arc.angle - 2.0 * math.pi) * r
         worst = 0.0
         for k in range(9):
             t = arc.angle * k / 8.0

@@ -6,7 +6,9 @@ converged iterates of all types are merged in arrays first, the smallest
 residual winning each cluster; only the survivors are then re-verified
 through the scalar evaluation path, and they come back in a deterministic
 order.  Directional validity is a separate concern handled by the `path`
-module.
+module.  Every solve runs on the instance scaled to unit radius, so
+tolerances are in units of r and the roots do not depend on the unit of
+length.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from . import batch as _batch
 from .geom import EPS_ZERO, DubinsError, ProblemInstance
 from .residual import ALL_TYPES, Geometry, HPair, ResidualPair, SolutionType, residuals
 
+# Both in units of the turn radius: roots closer than DEFAULT_DEDUP_TOL merge,
+# and Newton stops once max(|p_i|, |p_f|) <= DEFAULT_RESIDUAL_TOL.
 DEFAULT_DEDUP_TOL = 1e-6
-# Residual tolerance defaults to this multiple of the turn radius.
-RESIDUAL_TOL_SCALE = 1e-9
+DEFAULT_RESIDUAL_TOL = 1e-9
 # Seeds wandering beyond this multiple of the seeding half-width are abandoned.
 RUNAWAY_SCALE = 100.0
 
@@ -54,17 +57,15 @@ class SingleSeed:
 class SeedGrid:
     """Solve each type from an n x n grid of seeds plus the origin.
 
-    window is the half-width of the grid per axis; None scales it to the
-    instance as chord + 4 r.
+    window is the half-width of the grid per axis, in the instance's units;
+    None scales it to the instance (`ProblemInstance.span`).
     """
 
     n: int = 9
     window: float | None = None
 
     def half_width(self, inst: ProblemInstance) -> float:
-        if self.window is not None:
-            return self.window
-        return inst.chord + 4.0 * inst.radius
+        return self.window if self.window is not None else inst.span
 
 
 SeedPolicy = Union[SingleSeed, SeedGrid]
@@ -72,22 +73,21 @@ SeedPolicy = Union[SingleSeed, SeedGrid]
 
 @dataclass(frozen=True)
 class SolverOptions:
-    residual_tol: float | None = None  # None resolves to 1e-9 * radius
+    """Solver knobs; residual_tol and dedup_tol are in units of r."""
+
+    residual_tol: float = DEFAULT_RESIDUAL_TOL
     max_iters: int = 100
     seed_policy: SeedPolicy = field(default_factory=SeedGrid)
     dedup_tol: float = DEFAULT_DEDUP_TOL
     use_gradient: bool = True
 
     def __post_init__(self) -> None:
-        if self.residual_tol is not None and self.residual_tol <= 0:
+        if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
         if self.dedup_tol <= 0:
             raise ValueError("dedup_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-
-    def resolved_tol(self, inst: ProblemInstance) -> float:
-        return self.residual_tol if self.residual_tol is not None else RESIDUAL_TOL_SCALE * inst.radius
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,11 @@ def collinearity(inst: ProblemInstance) -> CollinearInstance | None:
         return None
     u = inst.goal.position - inst.start.position
     d = u.norm()
-    if d > EPS_ZERO and u.cross(v_i).norm() / d > EPS_ZERO:
+    eps = EPS_ZERO * inst.radius
+    if d > eps and u.cross(v_i).norm() / d > EPS_ZERO:
         return None
     along = u.dot(v_i)
-    aligned = v_f.dot(v_i) > 0.0 and along >= -EPS_ZERO
+    aligned = v_f.dot(v_i) > 0.0 and along >= -eps
     return CollinearInstance(aligned, d)
 
 
@@ -135,13 +136,18 @@ def _seed_arrays(inst: ProblemInstance, policy: SeedPolicy) -> tuple[np.ndarray,
 
 def runaway_limit(span: float) -> float:
     """Offset magnitude past which a Newton iterate seeded over +-span is
-    abandoned as running away."""
+    abandoned as running away; both in units of r."""
     return max(1e3, RUNAWAY_SCALE * span)
 
 
-def _candidate(inst: ProblemInstance, stype: SolutionType, hp: HPair, iterations: int, seed: HPair) -> SolutionCandidate:
-    res, geom = residuals(inst, stype, hp)
-    return SolutionCandidate(stype, hp, res, geom, iterations, seed)
+def _candidate(
+    r: float, stype: SolutionType, hp: HPair, res: ResidualPair, geo: Geometry, iters: int, seed: HPair
+) -> SolutionCandidate:
+    """A root of the unit-radius instance and its scalar evaluation there,
+    with every length multiplied by r (seed is in the caller's units)."""
+    hp, res = HPair(hp.h_i * r, hp.h_f * r), ResidualPair(res.p_i * r, res.p_f * r)
+    geo = Geometry(geo.h_pt_i * r, geo.h_pt_f * r, geo.hdir, geo.c_i * r, geo.c_f * r)
+    return SolutionCandidate(stype, hp, res, geo, iters, seed)
 
 
 def solve_type(
@@ -156,21 +162,14 @@ def solve_type(
     geometry, or exhausts max_iters.
     """
     opts = opts or SolverOptions()
-    tol = opts.resolved_tol(inst)
+    r = inst.radius
     rb = _batch.RayBatch.from_instance(inst, 1)
-    res = _batch.newton(
-        rb,
-        stype,
-        np.array([seed.h_i]),
-        np.array([seed.h_f]),
-        tol,
-        max_iters=opts.max_iters,
-        use_gradient=opts.use_gradient,
-    )
+    seeds = (np.array([seed.h_i / r]), np.array([seed.h_f / r]))
+    res = _batch.newton(rb, stype, *seeds, opts.residual_tol, max_iters=opts.max_iters, use_gradient=opts.use_gradient)
     if not res.converged[0]:
         raise NotConverged(f"{stype} from seed ({seed.h_i}, {seed.h_f})")
     hp = HPair(float(res.h_i[0]), float(res.h_f[0]))
-    return _candidate(inst, stype, hp, int(res.iterations[0]), seed)
+    return _candidate(r, stype, hp, *residuals(inst.in_radius_units(), stype, hp), int(res.iterations[0]), seed)
 
 
 def dedup(
@@ -211,39 +210,34 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
     col = collinearity(inst)
     if col is not None:
         raise col
-    tol = opts.resolved_tol(inst)
+    r = inst.radius
+    tol = opts.residual_tol
     hi0, hf0 = _seed_arrays(inst, opts.seed_policy)
     rb = _batch.RayBatch.from_instance(inst, len(hi0))
-    h_limit = runaway_limit(inst.chord + 4.0 * inst.radius)
+    h_limit = runaway_limit(inst.span / r)
+    ui0, uf0 = hi0 / r, hf0 / r
     runs = [
-        _batch.newton(
-            rb,
-            stype,
-            hi0,
-            hf0,
-            tol,
-            max_iters=opts.max_iters,
-            use_gradient=opts.use_gradient,
-            h_limit=h_limit,
-        )
-        for stype in ALL_TYPES
+        _batch.newton(rb, t, ui0, uf0, tol, max_iters=opts.max_iters, use_gradient=opts.use_gradient, h_limit=h_limit)
+        for t in ALL_TYPES
     ]
-    # element q is type ALL_TYPES[q // k] from seed q % k
+    # element q is type ALL_TYPES[q // k] from seed q % k, in units of r
     k = len(hi0)
     group = np.repeat(np.arange(len(ALL_TYPES)), k)
-    h_i = np.concatenate([r.h_i for r in runs])
-    h_f = np.concatenate([r.h_f for r in runs])
-    resid = np.concatenate([r.max_abs() for r in runs])
-    iterations = np.concatenate([r.iterations for r in runs])
-    converged = np.flatnonzero(np.concatenate([r.converged for r in runs]))
+    h_i = np.concatenate([run.h_i for run in runs])
+    h_f = np.concatenate([run.h_f for run in runs])
+    resid = np.concatenate([run.max_abs() for run in runs])
+    iterations = np.concatenate([run.iterations for run in runs])
+    converged = np.flatnonzero(np.concatenate([run.converged for run in runs]))
 
+    unit = inst.in_radius_units()
     out: list[SolutionCandidate] = []
     for q in dedup(converged, group, h_i, h_f, resid, opts.dedup_tol):
+        stype = ALL_TYPES[group[q]]
         hp = HPair(float(h_i[q]), float(h_f[q]))
-        seed = HPair(float(hi0[q % k]), float(hf0[q % k]))
-        cand = _candidate(inst, ALL_TYPES[group[q]], hp, int(iterations[q]), seed)
+        res, geo = residuals(unit, stype, hp)
         # re-verified through the scalar path; drop anything that drifted
-        if cand.residual.max_abs() <= tol:
-            out.append(cand)
+        if res.max_abs() <= tol:
+            seed = HPair(float(hi0[q % k]), float(hf0[q % k]))
+            out.append(_candidate(r, stype, hp, res, geo, int(iterations[q]), seed))
     out.sort(key=lambda c: (c.type_id, c.hp.h_i, c.hp.h_f))
     return out

@@ -4,7 +4,9 @@ All studies run the damped-Newton machinery in cross-problem batches so full
 sweeps stay fast: a sweep solves each type in one batch of every (cell, seed)
 pair and merges each cell's roots with `solver.dedup` (smallest residual
 wins), the gradient study one element per random case.  All are
-deterministic for fixed inputs.
+deterministic for fixed inputs.  Sweeps and the gradient study are defined
+in units of the turn radius (r = 1); the seed study takes a scenario's own
+radius and reports seeds and roots in its units.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .batch import RayBatch, directionally_valid, eval_ahead, newton
 from .geom import EPS_ZERO
 from .residual import ALL_TYPES, SolutionType
 from .scenarios import Scenario
-from .solver import RESIDUAL_TOL_SCALE, dedup, runaway_limit
+from .solver import DEFAULT_RESIDUAL_TOL, dedup, runaway_limit
 
 SWEEP_MODES = ("planar", "nonplanar")
 # Swept axis ranges: positions on [-6, 6] (inclusive, symmetric about 0) and
@@ -28,7 +30,8 @@ POSITION_RANGE = 6.0
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A 2D slice of the 3-variable end-configuration family.
+    """A 2D slice of the 3-variable end-configuration family, in units of
+    the turn radius.
 
     planar mode: start at the origin heading +z, goal at [x, 0, z] heading
     [-sin(theta), 0, cos(theta)] (theta = 0 aligns the headings).
@@ -99,7 +102,7 @@ class SweepResult:
                 )
 
 
-def run_sweep(spec: SweepSpec, radius: float = 1.0, residual_tol: float | None = None) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Count directionally valid roots for every cell of the slice.
 
     Each cell is solved from the single seed (0, 0), or with robust_seeds
@@ -111,7 +114,6 @@ def run_sweep(spec: SweepSpec, radius: float = 1.0, residual_tol: float | None =
     the two-offset parametrization; they are flagged and given count 1 when
     the straight connection itself is a valid path.
     """
-    tol = residual_tol if residual_tol is not None else RESIDUAL_TOL_SCALE * radius
     name_a, name_b = spec.swept
     axis_a = axis_values(name_a, spec.steps)
     axis_b = axis_values(name_b, spec.steps)
@@ -125,14 +127,7 @@ def run_sweep(spec: SweepSpec, radius: float = 1.0, residual_tol: float | None =
     angle = values["angle"]
     n = x.size
     goal_dir = _goal_direction(spec.mode, angle)
-    rb = RayBatch.build(
-        (0.0, 0.0, 0.0),
-        (0.0, 0.0, 1.0),
-        (x, np.zeros(n), z),
-        goal_dir,
-        radius,
-        n,
-    )
+    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (x, np.zeros(n), z), goal_dir, n)
 
     # collinear cells: goal heading parallel to +z and goal on the z axis;
     # the straight connection is itself a path only for a forward-aligned goal
@@ -140,7 +135,7 @@ def run_sweep(spec: SweepSpec, radius: float = 1.0, residual_tol: float | None =
     collinear = (dir_cross <= EPS_ZERO) & (np.abs(x) <= EPS_ZERO)
     straight_ok = collinear & (goal_dir[2] > 0) & (z >= -EPS_ZERO)
 
-    span = np.sqrt(x * x + z * z) + 4.0 * radius
+    span = np.sqrt(x * x + z * z) + 4.0  # ProblemInstance.span at r = 1
     # seeds as fractions of the span: (0, 0), then with robust_seeds a 9 x 9 grid
     grid = np.linspace(-1.0, 1.0, 9 if spec.robust_seeds else 0)
     frac_i, frac_f = (np.concatenate([[0.0], f.ravel()]) for f in np.meshgrid(grid, grid, indexing="ij"))
@@ -153,7 +148,7 @@ def run_sweep(spec: SweepSpec, radius: float = 1.0, residual_tol: float | None =
 
     counts = {False: np.zeros(n, np.int64), True: np.zeros(n, np.int64)}
     for stype in ALL_TYPES:
-        res = newton(tiled, stype, hi0, hf0, tol, max_iters=60, h_limit=h_limit)
+        res = newton(tiled, stype, hi0, hf0, DEFAULT_RESIDUAL_TOL, max_iters=60, h_limit=h_limit)
         kept = dedup(np.flatnonzero(res.converged), cell, res.h_i, res.h_f, res.max_abs())
         ahead = eval_ahead(tiled.take(kept), stype, res.h_i[kept], res.h_f[kept])
         np.add.at(counts[stype.switched], cell[kept[directionally_valid(stype, ahead)]], 1)
@@ -192,10 +187,13 @@ def run_seed_study(
     resolution: int,
     type_ids: tuple[int, ...] = tuple(range(1, 9)),
 ) -> list[SeedStudyRow]:
-    """Map every seed on a grid to the root it converges to, per type."""
+    """Map every seed on a grid to the root it converges to, per type.
+
+    half_width, seeds and roots are in the scenario's units.
+    """
     inst = scenario.instance
     opts = scenario.options
-    tol = opts.resolved_tol(inst)
+    r = inst.radius
     vals = np.linspace(-half_width, half_width, resolution)
     a, b = np.meshgrid(vals, vals, indexing="ij")
     hi0 = a.ravel()
@@ -204,7 +202,10 @@ def run_seed_study(
     rows: list[SeedStudyRow] = []
     for tid in type_ids:
         stype = SolutionType.from_id(tid)
-        res = newton(rb, stype, hi0, hf0, tol, max_iters=opts.max_iters, use_gradient=opts.use_gradient)
+        res = newton(
+            rb, stype, hi0 / r, hf0 / r, opts.residual_tol, max_iters=opts.max_iters, use_gradient=opts.use_gradient
+        )
+        root_hi, root_hf = res.h_i * r, res.h_f * r
         for q in range(hi0.size):
             conv = bool(res.converged[q])
             rows.append(
@@ -213,8 +214,8 @@ def run_seed_study(
                     float(hf0[q]),
                     tid,
                     conv,
-                    float(res.h_i[q]) if conv else None,
-                    float(res.h_f[q]) if conv else None,
+                    float(root_hi[q]) if conv else None,
+                    float(root_hf[q]) if conv else None,
                 )
             )
     return rows
@@ -229,7 +230,7 @@ class GradientStudyRow:
     n_without_gradient: int
 
 
-def run_gradient_study(n_cases: int, rng_seed: int, radius: float = 1.0) -> list[GradientStudyRow]:
+def run_gradient_study(n_cases: int, rng_seed: int) -> list[GradientStudyRow]:
     """Valid-root counts with analytic versus finite-difference Jacobians.
 
     Each case fixes the start at the origin heading +z and draws a goal
@@ -244,25 +245,21 @@ def run_gradient_study(n_cases: int, rng_seed: int, radius: float = 1.0) -> list
     vf = rng.normal(size=(n_cases, 3))
     vf /= np.linalg.norm(vf, axis=1, keepdims=True)
     chord = np.linalg.norm(xf, axis=1)
-    span = chord + 4.0 * radius
+    span = chord + 4.0  # ProblemInstance.span at r = 1
     seed_frac = rng.uniform(-1.0, 1.0, size=(n_cases, 2))
     hi0 = seed_frac[:, 0] * span
     hf0 = seed_frac[:, 1] * span
 
-    tol = RESIDUAL_TOL_SCALE * radius
     rb = RayBatch.build(
-        (0.0, 0.0, 0.0),
-        (0.0, 0.0, 1.0),
-        (xf[:, 0], xf[:, 1], xf[:, 2]),
-        (vf[:, 0], vf[:, 1], vf[:, 2]),
-        radius,
-        n_cases,
+        (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (xf[:, 0], xf[:, 1], xf[:, 2]), (vf[:, 0], vf[:, 1], vf[:, 2]), n_cases
     )
     counts = {True: np.zeros(n_cases, np.int64), False: np.zeros(n_cases, np.int64)}
     h_limit = runaway_limit(float(span.max()))
     for stype in ALL_TYPES:
         for use_gradient in (True, False):
-            res = newton(rb, stype, hi0, hf0, tol, max_iters=100, use_gradient=use_gradient, h_limit=h_limit)
+            res = newton(
+                rb, stype, hi0, hf0, DEFAULT_RESIDUAL_TOL, max_iters=100, use_gradient=use_gradient, h_limit=h_limit
+            )
             ahead = eval_ahead(rb, stype, res.h_i, res.h_f)
             counts[use_gradient] += res.converged & directionally_valid(stype, ahead)
     angles = np.arccos(np.clip(vf[:, 2], -1.0, 1.0))  # angle from the +z start heading

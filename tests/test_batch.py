@@ -36,11 +36,16 @@ def test_batch_matches_scalar_reference():
         inst = random_instance(rng)
         his = rng.uniform(-8, 8, 32)
         hfs = rng.uniform(-8, 8, 32)
+        # the kernel works in units of r: offsets in are divided by r, and
+        # residuals and separations out are multiplied by it
+        r = inst.radius
         rb = RayBatch.from_instance(inst, 32)
         for stype in ALL_TYPES:
-            p_i, p_f, J = eval_residuals(rb, stype, his, hfs, jac=True)
-            ahead = eval_ahead(rb, stype, his, hfs)
+            p_i, p_f, J = eval_residuals(rb, stype, his / r, hfs / r, jac=True)
+            p_i, p_f = p_i * r, p_f * r
+            ahead = eval_ahead(rb, stype, his / r, hfs / r)
             valid = directionally_valid(stype, ahead)
+            ahead = ahead * r
             for k in range(32):
                 try:
                     res, geo = residuals(inst, stype, HPair(his[k], hfs[k]))
@@ -130,7 +135,7 @@ def test_newton_gradient_flag_switches_jacobian_path(monkeypatch):
 def test_newton_instance_arrays_per_element():
     # one batch solving two different goal positions at once
     zs = np.array([3.0, 4.0])
-    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (np.array([-1.0, -1.0]), np.zeros(2), zs), (math.sqrt(0.5), 0.0, math.sqrt(0.5)), 1.0, 2)
+    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (np.array([-1.0, -1.0]), np.zeros(2), zs), (math.sqrt(0.5), 0.0, math.sqrt(0.5)), 2)
     res = newton(rb, ALL_TYPES[0], np.zeros(2), np.zeros(2), 1e-9)
     assert res.converged.all()
     for k, z in enumerate(zs):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from dubins3d.geom import UnitVec3, Vec3, instance
+from dubins3d.geom import Configuration, ProblemInstance, UnitVec3, Vec3, instance
 from dubins3d.path import (
     Arc,
     InvalidCandidate,
@@ -16,7 +17,7 @@ from dubins3d.path import (
 )
 from dubins3d.residual import Geometry, HPair, ResidualPair, SolutionType, residuals
 from dubins3d.scenarios import load_bundled
-from dubins3d.solver import SolutionCandidate, solve_all
+from dubins3d.solver import SolutionCandidate, collinearity, solve_all
 
 # Hand-checkable planar case: start at the origin heading +z, goal on the x
 # axis heading -z.  The (regular, -, +) system has a root at offsets (1, -1):
@@ -253,3 +254,76 @@ def test_rigid_motion_equivariance_of_paths():
         moved_pts = sample_path(extract_path(moved_cand, moved), 101)
         for a, b in zip(pts, moved_pts):
             assert (Vec3(*move(a)) - b).norm() < 1e-9
+
+
+def scaled(inst, s):
+    """inst with every length (positions and radius) multiplied by s."""
+    move = lambda c: Configuration(c.position * s, c.direction)
+    return ProblemInstance(move(inst.start), move(inst.goal), inst.radius * s)
+
+
+def valid_paths(inst):
+    """(type, validity, root, path or None) for every root solve_all finds."""
+    out = []
+    for cand in solve_all(inst):
+        valid = check_directionality(cand).valid
+        out.append((cand.type_id, valid, cand.hp, extract_path(cand, inst) if valid else None))
+    return out
+
+
+coords = st.floats(min_value=-6.0, max_value=6.0)
+headings = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.tuples(coords, coords, coords),
+    headings,
+    st.tuples(coords, coords, coords),
+    headings,
+    st.floats(min_value=0.5, max_value=2.0),
+    st.floats(min_value=-6.0, max_value=6.0),
+)
+def test_scale_equivariance_of_solve_all(x_i, v_i, x_f, v_f, radius, log_s):
+    # every equation is homogeneous in length: scaling positions and radius
+    # by s scales roots and path lengths by s and changes nothing else
+    inst = instance(x_i, v_i, x_f, v_f, radius)
+    assume(collinearity(inst) is None)
+    s = 10.0**log_s
+    big = scaled(inst, s)
+    base, other = valid_paths(inst), valid_paths(big)
+    assert [(t, v) for t, v, _, _ in other] == [(t, v) for t, v, _, _ in base]
+    for (_, _, hp, path), (_, _, hp_s, path_s) in zip(base, other):
+        for h, h_s in ((hp.h_i, hp_s.h_i), (hp.h_f, hp_s.h_f)):
+            assert abs(h_s / s - h) <= 1e-7 * max(abs(h), radius)
+        if path is not None:
+            assert path_s.total_length / s == pytest.approx(path.total_length, rel=1e-9)
+            assert verify_path(path, inst).ok
+            report = verify_path(path_s, big)
+            assert report.ok, report.failures()
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e3, 1e6])
+def test_nonplanar_close_root_counts_do_not_depend_on_scale(s):
+    roots = valid_paths(scaled(load_bundled("nonplanar_close").instance, s))
+    assert len(roots) == 8
+    assert sum(valid for _, valid, _, _ in roots) == 4
+
+
+@pytest.mark.parametrize("name", ["nonplanar_close", "nonplanar_close_2", "planar_close", "seed_sensitivity"])
+def test_solve_all_at_tiny_scale_raises_nothing(name):
+    # survivors are re-verified on the unit-radius instance, where the
+    # offset points of a root stay far apart compared with EPS_ZERO
+    inst = load_bundled(name).instance
+    assert len(solve_all(scaled(inst, 1e-8))) == len(solve_all(inst))
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_verify_path_tangent_tolerance_scales_with_radius(s):
+    # a heading error has no unit; 1e-6 of it is a failure at every scale
+    inst = scaled(QUARTER, s)
+    p = extract_path(candidate_at(inst, QUARTER_TYPE, HPair(s, -s)), inst)
+    assert verify_path(p, inst).ok
+    tilted = instance(inst.start.position.as_tuple(), (math.sin(1e-6), 0.0, math.cos(1e-6)), inst.goal.position.as_tuple(), inst.goal.direction.as_tuple(), s)
+    report = verify_path(p, tilted)
+    assert set(report.failures()) == {"start_tangent"}

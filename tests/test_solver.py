@@ -73,7 +73,7 @@ def test_candidates_reverify_from_scratch():
         inst = load_bundled(name).instance
         for cand in solve_all(inst, opts):
             res, _ = residuals(inst, cand.stype, cand.hp)
-            assert res.max_abs() <= opts.resolved_tol(inst)
+            assert res.max_abs() <= opts.residual_tol * inst.radius
 
 
 def test_solve_all_deterministic():
@@ -146,6 +146,12 @@ def test_collinear_detection():
     same_point = instance((0, 0, 0), (0, 0, 1), (0, 0, 0), (1, 0, 0))
     assert collinearity(same_point) is None
 
+    # the length tests are in units of r: the same instances at r = 1e-10
+    s = 1e-10
+    assert collinearity(instance((0, 0, 0), (0, 0, 1), (s, 0, 5 * s), (0, 0, 1), radius=s)) is None
+    col = collinearity(instance((0, 0, 0), (0, 0, 1), (0, 0, -5 * s), (0, 0, 1), radius=s))
+    assert col is not None and not col.aligned
+
 
 def test_options_validation():
     with pytest.raises(ValueError):
@@ -154,6 +160,4 @@ def test_options_validation():
         SolverOptions(max_iters=0)
     with pytest.raises(ValueError):
         SolverOptions(dedup_tol=0.0)
-    inst = PLANAR_FAR
-    assert SolverOptions().resolved_tol(inst) == pytest.approx(1e-9 * inst.radius)
-    assert SolverOptions(residual_tol=1e-7).resolved_tol(inst) == 1e-7
+    assert SolverOptions().residual_tol == 1e-9
