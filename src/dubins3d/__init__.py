@@ -19,7 +19,15 @@ from .geom import (
     normalize,
     point_line_distance,
 )
-from .oracle import ContourMap, GridWindow, build_contours, enumerate_all_types, enumerate_roots, refine_roots
+from .oracle import (
+    ContourMap,
+    GridWindow,
+    build_contours,
+    enumerate_all_types,
+    enumerate_roots,
+    refine_roots,
+    sample_contours,
+)
 from .path import (
     Arc,
     CscPath,
@@ -110,6 +118,7 @@ __all__ = [
     "point_line_distance",
     "refine_roots",
     "residuals",
+    "sample_contours",
     "sample_path",
     "solve_all",
     "solve_type",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .geom import DubinsError, ProblemInstance
-from .oracle import GridWindow, build_contours, enumerate_roots
+from .oracle import GridWindow, enumerate_roots, sample_contours
 from .path import check_directionality, extract_path, verify_path
 from .residual import SolutionType
 from .scenarios import (
@@ -266,9 +266,7 @@ def cmd_contours(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     type_ids = tuple(args.type) if args.type else tuple(range(1, 9))
-    for tid in type_ids:
-        stype = SolutionType.from_id(tid)
-        cmap = build_contours(inst, stype, window)
+    for cmap in sample_contours(inst, window, map(SolutionType.from_id, type_ids)):
         rows = []
         for i, a in enumerate(cmap.h_i_nodes):
             for j, b in enumerate(cmap.h_f_nodes):
@@ -281,7 +279,7 @@ def cmd_contours(args) -> int:
                         int(cmap.singular[i, j]),
                     )
                 )
-        path = out / f"{scenario.name}_contours_type{tid}.csv"
+        path = out / f"{scenario.name}_contours_type{cmap.stype.type_id}.csv"
         _write_csv(path, ["h_i", "h_f", "p_i", "p_f", "singular"], rows)
     print(f"wrote contour grids for types {list(type_ids)} to {out}")
     return 0

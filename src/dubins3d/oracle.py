@@ -1,7 +1,8 @@
 """Brute-force enumeration of tangency-system roots over an offset window.
 
-Independent of the multistart solver's seeding: residual fields are sampled
-on a dense grid, cells where both fields change sign are detected in
+Independent of the multistart solver's seeding: the residual fields of all
+requested types are sampled on a dense grid from one geometry pass
+(`sample_contours`), cells where both fields change sign are detected in
 marching-squares fashion, and one Newton batch refines from the centre of
 every such cell.  Used to audit solver completeness and to export residual
 fields for plotting.  As in `solver`, both run in units of the radius;
@@ -10,12 +11,14 @@ windows, fields and roots are in the instance's own units.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import batch as _batch
-from .batch import RayBatch, eval_residuals
+from .batch import RayBatch
+from .batch import eval_residuals  # noqa: F401  unused here; bench/tracing.py wraps oracle.eval_residuals
 from .geom import ProblemInstance
 from .residual import ALL_TYPES, HPair, SolutionType
 from .solver import DEFAULT_DEDUP_TOL, DEFAULT_RESIDUAL_TOL, dedup
@@ -75,7 +78,8 @@ class ContourMap:
     Fields are indexed [i, j] for node (h_i_nodes[i], h_f_nodes[j]); entries
     are NaN where the evaluation is singular.  crossings_* mark cells (one
     smaller per axis) where the respective field changes sign; cells touching
-    a singular node are never marked.
+    a singular node are never marked.  The fields are read-only: maps of one
+    family from one `sample_contours` call share them.
     """
 
     stype: SolutionType
@@ -94,31 +98,69 @@ class ContourMap:
 
 
 def _cell_crossings(field: np.ndarray) -> np.ndarray:
-    snapped = np.where(np.abs(field) < ZERO_SNAP, 0.0, field)
-    c00 = snapped[:-1, :-1]
-    c10 = snapped[1:, :-1]
-    c01 = snapped[:-1, 1:]
-    c11 = snapped[1:, 1:]
-    finite = np.isfinite(c00) & np.isfinite(c10) & np.isfinite(c01) & np.isfinite(c11)
-    lo = np.fmin(np.fmin(c00, c10), np.fmin(c01, c11))
-    hi = np.fmax(np.fmax(c00, c10), np.fmax(c01, c11))
-    return finite & (((lo < 0.0) & (hi > 0.0)) | (lo == 0.0) | (hi == 0.0))
+    """Cells whose four nodes are finite and neither all >= ZERO_SNAP nor
+    all <= -ZERO_SNAP: a sign change, or a node within ZERO_SNAP of zero."""
+
+    def every(node: np.ndarray) -> np.ndarray:
+        rows = node[:-1] & node[1:]
+        return rows[:, :-1] & rows[:, 1:]
+
+    return every(np.isfinite(field)) & ~every(field >= ZERO_SNAP) & ~every(field <= -ZERO_SNAP)
+
+
+def sample_contours(
+    inst: ProblemInstance, window: GridWindow, stypes: Iterable[SolutionType] = ALL_TYPES
+) -> Iterator[ContourMap]:
+    """The contour map of every requested type, from one geometry pass over
+    the window: regular types first, then switched, each family in the
+    requested order.
+
+    The h_i nodes form a column and the h_f nodes a row, so the offset
+    points are computed per node and broadcast.  A switched type negates the
+    segment direction g, which flips g . v exactly and keeps |v x g|, so the
+    regular geometry gives all eight types' fields bit for bit.  Each
+    distinct field (per family, one per start sign for p_i and one per end
+    sign for p_f) is formed once, its crossings marked in units of r, then
+    scaled by r; maps of one family share these read-only arrays, and only
+    one family's are held at a time.
+    """
+    stypes = tuple(stypes)
+    r = inst.radius
+    hi_nodes, hf_nodes = window.nodes()
+    hi, hf = (hi_nodes / r)[:, None], (hf_nodes / r)[None, :]
+    ends, bad = _batch._geometry(RayBatch.from_instance(inst, 1), ALL_TYPES[0], hi, hf)[5:]
+    # keep only |v x g| and g . v per end: holding the rest of the geometry
+    # while the fields are formed costs page faults and peak RSS
+    (n_i, gv_i), (n_f, gv_f) = [end[1:] for end in ends]
+    del ends
+    for switched in (False, True):
+        family = [t for t in stypes if t.switched == switched]
+        if not family:
+            continue
+        sgn = -1.0 if switched else 1.0
+        fields = {}
+        for end, h, n, gv, signs in (
+            ("i", hi, n_i, gv_i, {t.start_sign for t in family}),
+            ("f", hf, n_f, gv_f, {t.end_sign for t in family}),
+        ):
+            q = (1.0 / n) * (1.0 - sgn * gv)
+            for sign in signs:
+                p = np.where(bad, np.nan, h + sign * q)
+                crossings = _cell_crossings(p)
+                p *= r
+                p.flags.writeable = False
+                fields[end, sign] = p, crossings
+        for t in family:
+            p_i, crossings_i = fields["i", t.start_sign]
+            p_f, crossings_f = fields["f", t.end_sign]
+            singular = ~(np.isfinite(p_i) & np.isfinite(p_f))
+            yield ContourMap(t, window, hi_nodes, hf_nodes, p_i, p_f, singular, crossings_i, crossings_f)
 
 
 def build_contours(inst: ProblemInstance, stype: SolutionType, window: GridWindow) -> ContourMap:
-    """Sample both residual fields over the window and mark sign changes
-    (of the fields in units of r; the map holds them multiplied by r)."""
-    r = inst.radius
-    hi_nodes, hf_nodes = window.nodes()
-    a, b = np.meshgrid(hi_nodes / r, hf_nodes / r, indexing="ij")
-    p_i, p_f, _ = eval_residuals(RayBatch.from_instance(inst, a.size), stype, a.ravel(), b.ravel())
-    p_i = p_i.reshape(a.shape)
-    p_f = p_f.reshape(a.shape)
-    singular = ~(np.isfinite(p_i) & np.isfinite(p_f))
-    crossings_i, crossings_f = _cell_crossings(p_i), _cell_crossings(p_f)
-    p_i *= r
-    p_f *= r
-    return ContourMap(stype, window, hi_nodes, hf_nodes, p_i, p_f, singular, crossings_i, crossings_f)
+    """Sample both residual fields of one type over the window and mark
+    sign changes: `sample_contours` for that type alone."""
+    return next(sample_contours(inst, window, (stype,)))
 
 
 def refine_roots(inst: ProblemInstance, cmap: ContourMap) -> list[HPair]:
@@ -126,9 +168,9 @@ def refine_roots(inst: ProblemInstance, cmap: ContourMap) -> list[HPair]:
     batch seeded at the centre of every cell where both residual fields
     change sign.
 
-    Refined roots that escape the window are discarded; the rest are merged
-    within DEFAULT_DEDUP_TOL r (smallest residual wins) and returned sorted
-    by (h_i, h_f).
+    Refined roots that escape the window by more than 1e-9 r are discarded;
+    the rest are merged within DEFAULT_DEDUP_TOL r (smallest residual wins)
+    and returned sorted by (h_i, h_f).
     """
     r = inst.radius
     i, j = cmap.intersection_cells().T
@@ -138,7 +180,7 @@ def refine_roots(inst: ProblemInstance, cmap: ContourMap) -> list[HPair]:
     res = _batch.newton(rb, cmap.stype, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, max_iters=60)
     res.h_i *= r
     res.h_f *= r
-    cand = np.flatnonzero(res.converged & cmap.window.contains(res))
+    cand = np.flatnonzero(res.converged & cmap.window.contains(res, 1e-9 * r))
     kept = dedup(cand, np.zeros(hi0.size, np.int64), res.h_i, res.h_f, res.max_abs(), DEFAULT_DEDUP_TOL * r)
     roots = [HPair(float(res.h_i[q]), float(res.h_f[q])) for q in kept]
     roots.sort(key=lambda p: (p.h_i, p.h_f))
@@ -152,5 +194,6 @@ def enumerate_roots(inst: ProblemInstance, stype: SolutionType, window: GridWind
 
 
 def enumerate_all_types(inst: ProblemInstance, window: GridWindow) -> dict[int, list[HPair]]:
-    """enumerate_roots for every type, keyed by type id."""
-    return {t.type_id: enumerate_roots(inst, t, window) for t in ALL_TYPES}
+    """enumerate_roots for every type, keyed by type id, from one sampling
+    pass (`sample_contours`)."""
+    return {cmap.stype.type_id: refine_roots(inst, cmap) for cmap in sample_contours(inst, window)}

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from dubins3d.geom import instance
-from dubins3d.oracle import GridWindow, build_contours, enumerate_roots, refine_roots
+from dubins3d.oracle import GridWindow, build_contours, enumerate_all_types, enumerate_roots, refine_roots
 from dubins3d.path import check_directionality, extract_path, verify_path
 from dubins3d.residual import ALL_TYPES, HPair, SolutionType, jacobian, residuals
 from dubins3d.scenarios import load_bundled
@@ -327,9 +327,10 @@ def test_c4_solver_oracle_agreement_100():
         inst = random_noncollinear_instance(rng)
         window = GridWindow.for_instance(inst)
         sol = solve_all(inst, opts)
+        every = enumerate_all_types(inst, window)
         for stype in ALL_TYPES:
             mine = [c.hp for c in sol if c.stype == stype and window.contains(c.hp)]
-            oracle = enumerate_roots(inst, stype, window)
+            oracle = every[stype.type_id]
             match = len(mine) == len(oracle) and all(
                 any(max(abs(a.h_i - b.h_i), abs(a.h_f - b.h_f)) < 1e-6 for b in oracle) for a in mine
             )

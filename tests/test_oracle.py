@@ -1,8 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from dubins3d.geom import instance
-from dubins3d.oracle import GridWindow, build_contours, enumerate_all_types, enumerate_roots, refine_roots
+from dubins3d.batch import RayBatch, eval_residuals
+from dubins3d.geom import Configuration, ProblemInstance, instance
+from dubins3d.oracle import (
+    ZERO_SNAP,
+    ContourMap,
+    GridWindow,
+    _cell_crossings,
+    build_contours,
+    enumerate_all_types,
+    enumerate_roots,
+    refine_roots,
+    sample_contours,
+)
 from dubins3d.path import check_directionality
 from dubins3d.residual import ALL_TYPES, REGULAR_TYPES, HPair, SolutionType, residuals
 from dubins3d.scenarios import load_bundled
@@ -191,3 +204,115 @@ def test_enumerate_all_types_keys():
     win = GridWindow.square(6.0, 64)
     res = enumerate_all_types(PLANAR_CLOSE, win)
     assert sorted(res) == list(range(1, 9))
+
+
+BUNDLED = (
+    "planar_far",
+    "planar_close",
+    "nonplanar_far",
+    "nonplanar_close",
+    "planar_far_2",
+    "planar_close_2",
+    "nonplanar_far_2",
+    "nonplanar_close_2",
+    "seed_sensitivity",
+)
+
+
+def scaled(inst, s):
+    """inst with every length (positions and radius) multiplied by s."""
+    move = lambda c: Configuration(c.position * s, c.direction)
+    return ProblemInstance(move(inst.start), move(inst.goal), inst.radius * s)
+
+
+def _minmax_crossings(field):
+    """The fmin/fmax crossing rule the boolean one replaced."""
+    snapped = np.where(np.abs(field) < ZERO_SNAP, 0.0, field)
+    c00, c10, c01, c11 = snapped[:-1, :-1], snapped[1:, :-1], snapped[:-1, 1:], snapped[1:, 1:]
+    finite = np.isfinite(c00) & np.isfinite(c10) & np.isfinite(c01) & np.isfinite(c11)
+    lo = np.fmin(np.fmin(c00, c10), np.fmin(c01, c11))
+    hi = np.fmax(np.fmax(c00, c10), np.fmax(c01, c11))
+    return finite & (((lo < 0.0) & (hi > 0.0)) | (lo == 0.0) | (hi == 0.0))
+
+
+def _per_type_contours(inst, stype, window):
+    """The per-type sampler sample_contours replaced: eval_residuals for one
+    type on the tiled meshgrid, in units of r, with the fmin/fmax rule."""
+    r = inst.radius
+    hi_nodes, hf_nodes = window.nodes()
+    a, b = np.meshgrid(hi_nodes / r, hf_nodes / r, indexing="ij")
+    p_i, p_f, _ = eval_residuals(RayBatch.from_instance(inst, a.size), stype, a.ravel(), b.ravel())
+    p_i, p_f = p_i.reshape(a.shape), p_f.reshape(a.shape)
+    singular = ~(np.isfinite(p_i) & np.isfinite(p_f))
+    cross_i, cross_f = _minmax_crossings(p_i), _minmax_crossings(p_f)
+    return ContourMap(stype, window, hi_nodes, hf_nodes, p_i * r, p_f * r, singular, cross_i, cross_f)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_sample_contours_bitwise_equals_per_type_sampling():
+    rng = np.random.default_rng(5)
+    cases = [load_bundled(name).instance for name in BUNDLED]
+    cases += [scaled(random_noncollinear(rng), r) for r in (1e-3, 0.5, 2.0, 1e3) for _ in range(2)]
+    fields = ("h_i_nodes", "h_f_nodes", "p_i", "p_f", "singular", "crossings_i", "crossings_f")
+    for inst in cases:
+        window = GridWindow.for_instance(inst, 128)
+        maps = list(sample_contours(inst, window))
+        assert [c.stype for c in maps] == list(ALL_TYPES)
+        refs = {t: _per_type_contours(inst, t, window) for t in ALL_TYPES}
+        for cmap in maps + [build_contours(inst, t, window) for t in ALL_TYPES]:
+            ref = refs[cmap.stype]
+            for name in fields:
+                assert _same_bits(getattr(cmap, name), getattr(ref, name)), (inst, cmap.stype, name)
+        every = enumerate_all_types(inst, window)
+        assert every == {t.type_id: enumerate_roots(inst, t, window) for t in ALL_TYPES}
+        assert every == {t.type_id: refine_roots(inst, refs[t]) for t in ALL_TYPES}
+
+
+def test_sample_contours_yields_requested_types_by_family():
+    window = GridWindow.square(4.0, 32)
+    types = [SolutionType.from_id(k) for k in (6, 1, 6, 4)]
+    maps = list(sample_contours(SEED_SENSITIVITY, window, types))
+    assert [c.stype.type_id for c in maps] == [1, 4, 6, 6]
+    # maps share field arrays within a family, so none may be written
+    with pytest.raises(ValueError):
+        maps[0].p_i[0, 0] = 0.0
+
+
+def test_boolean_crossing_rule_matches_minmax_rule_on_edge_values():
+    z = ZERO_SNAP
+    inside = np.nextafter(z, 0.0)
+    values = [1.0, -1.0, z, -z, inside, -inside, np.nextafter(z, 1.0), 0.0, -0.0, np.nan, np.inf, -np.inf]
+    # every 2x2 field over the edge values, one cell each
+    for nodes in itertools.product(values, repeat=4):
+        field = np.array(nodes).reshape(2, 2)
+        assert _same_bits(_cell_crossings(field), _minmax_crossings(field)), nodes
+    # cells at exactly +-ZERO_SNAP are not crossings; a node inside the band is
+    assert not _cell_crossings(np.full((2, 2), z)).any()
+    assert not _cell_crossings(np.full((2, 2), -z)).any()
+    assert _cell_crossings(np.array([[z, z], [z, inside]])).all()
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        field = rng.choice(values, size=(3, 3))
+        assert _same_bits(_cell_crossings(field), _minmax_crossings(field)), field
+
+
+def test_window_slack_is_in_units_of_r():
+    # the type-6 root at (-0.1157 r, 0.0697 r) lies 0.05 r beyond the
+    # window's upper h_i edge: it must stay out at every scale
+    t6 = SolutionType.from_id(6)
+    base = GridWindow.for_instance(SEED_SENSITIVITY, 100)
+    r = SEED_SENSITIVITY.radius
+    found = {}
+    for s in (1.0, 1e-8):
+        inst = scaled(SEED_SENSITIVITY, s)
+        window = GridWindow(
+            (s * base.h_i_range[0], s * (-0.1157 - 0.05) * r), tuple(s * x for x in base.h_f_range), base.resolution
+        )
+        found[s] = [(hp.h_i / (s * r), hp.h_f / (s * r)) for hp in enumerate_roots(inst, t6, window)]
+    assert len(found[1.0]) == 2
+    assert len(found[1e-8]) == 2
+    for a, b in zip(found[1.0], found[1e-8]):
+        assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) < 1e-6
