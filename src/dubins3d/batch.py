@@ -1,12 +1,14 @@
 """Vectorized evaluation and damped-Newton iteration over element batches.
 
 A batch couples per-element problem data (start/goal rays, each component a
-scalar or an (N,) array) with per-element offsets, so the same
-machinery serves three workloads: many seeds on one problem (multistart),
-seeds on many problems at once (parameter sweeps), and grid refinement.
-Singular evaluations yield NaN and the owning element is dropped rather than
-patched.  A batch holds instances scaled to unit radius, so offsets,
-residuals, tolerances and floors here are all in units of r.
+scalar or an (N,) array) and per-element solution types (the three signs of
+`SolutionType`, each a scalar or an (N,) array) with per-element offsets, so
+the same machinery serves every workload: all types from many seeds on one
+problem (multistart), seeds on many problems at once (parameter sweeps), and
+grid refinement of every type's cells.  Singular evaluations yield NaN and
+the owning element is dropped rather than patched.  A batch holds instances
+scaled to unit radius, so offsets, residuals, tolerances and floors here are
+all in units of r.
 
 The formulas duplicate the scalar reference in `residual`; the test suite
 pins the two implementations against each other, and every root `solve_all`
@@ -15,6 +17,7 @@ accepts is re-verified through the scalar path.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,16 +70,49 @@ class RayBatch:
         return self.xi[0].shape[0]
 
 
-def _geometry(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndarray):
+@dataclass
+class TypeBatch:
+    """Per-element solution types as (N,) arrays of their three signs:
+    direction (-1.0 where switched), start_sign and end_sign.
+
+    The evaluations below read a type only through these three attributes,
+    which a `SolutionType` has as scalars, so they take one type for every
+    element (numpy broadcasts it) or a TypeBatch alike.
+    """
+
+    direction: np.ndarray
+    start_sign: np.ndarray
+    end_sign: np.ndarray
+
+    @classmethod
+    def build(cls, stype: "SolutionType | TypeBatch", n: int) -> "TypeBatch":
+        """stype's signs broadcast to n elements."""
+        signs = (stype.direction, stype.start_sign, stype.end_sign)
+        return cls(*(np.broadcast_to(np.asarray(c, float), (n,)) for c in signs))
+
+    @classmethod
+    def repeat(cls, stypes: Sequence[SolutionType], counts) -> "TypeBatch":
+        """Type-major blocks: stypes[t] for counts[t] elements, or for counts
+        elements each when it is an int."""
+        signs = ([t.direction for t in stypes], [t.start_sign for t in stypes], [t.end_sign for t in stypes])
+        return cls(*(np.repeat(np.asarray(c, float), counts) for c in signs))
+
+    def take(self, sel: np.ndarray) -> "TypeBatch":
+        return TypeBatch(self.direction[sel], self.start_sign[sel], self.end_sign[sel])
+
+
+def _geometry(batch: RayBatch, stype: SolutionType | TypeBatch, hi: np.ndarray, hf: np.ndarray):
     """Geometry shared by the residuals and the directional test.
 
-    Returns (pt_i, pt_f, w, d, g, ends, bad): the offset points, w = pt_f -
-    pt_i, its length d, the segment direction g = w / d (reversed for
-    switched types), per end the tuple (v x g, |v x g|, g . v), and the mask
-    of singular elements, whose d and cross norms are set to 1.  Callers
-    hold the whole tuple until they return: letting the offset points and w
-    be freed mid-evaluation changed the allocator's heap trimming and
-    tripled the page faults on large oracle grids.
+    Returns (pt_i, pt_f, d, g, ends, bad): the offset points, their distance
+    d, the segment direction g = (pt_f - pt_i) / d (reversed for switched
+    types), per end the tuple (v x g, |v x g|, g . v), and the mask of
+    singular elements, whose d and cross norms are set to 1.  At Newton batch sizes it does not matter which
+    parts a caller keeps: holding the whole tuple and dropping the offset
+    points early both cost about 1 minor page fault per `solve_all` (656
+    elements) and 2 per robust 3 x 3 sweep (738 per batch), with peak RSS
+    within 0.15 MB.  On large grids keep only what is used, as
+    `oracle.sample_contours` does.
     """
     xi, vi, xf, vf = batch.xi, batch.vi, batch.xf, batch.vf
     pt_i = (xi[0] + hi * vi[0], xi[1] + hi * vi[1], xi[2] + hi * vi[2])
@@ -85,7 +121,7 @@ def _geometry(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndarr
     d = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
     bad = d <= EPS_SING
     d = np.where(bad, 1.0, d)
-    sgn = -1.0 if stype.switched else 1.0
+    sgn = stype.direction
     g = (sgn * w[0] / d, sgn * w[1] / d, sgn * w[2] / d)
     ends = []
     for v in (vi, vf):
@@ -95,18 +131,19 @@ def _geometry(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndarr
         n = np.where(n <= EPS_SING, 1.0, n)
         gv = g[0] * v[0] + g[1] * v[1] + g[2] * v[2]
         ends.append((cx, n, gv))
-    return pt_i, pt_f, w, d, g, ends, bad
+    return pt_i, pt_f, d, g, ends, bad
 
 
-def eval_residuals(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndarray, jac: bool = False):
+def eval_residuals(
+    batch: RayBatch, stype: SolutionType | TypeBatch, hi: np.ndarray, hf: np.ndarray, jac: bool = False
+):
     """Residual pair (and optionally Jacobian entries) for every element.
 
     Returns (p_i, p_f, J) with NaN where the geometry is singular; J is None
     unless requested, else the tuple (dpi_dhi, dpi_dhf, dpf_dhi, dpf_dhf).
     """
     vi, vf = batch.vi, batch.vf
-    geo = _geometry(batch, stype, hi, hf)
-    _, _, _, d, (gx, gy, gz), ends, bad = geo
+    _, _, d, (gx, gy, gz), ends, bad = _geometry(batch, stype, hi, hf)
     (_, n_i, gv_i), (_, n_f, gv_f) = ends
     p_i = np.where(bad, np.nan, hi + stype.start_sign * (1.0 / n_i) * (1.0 - gv_i))
     p_f = np.where(bad, np.nan, hf + stype.end_sign * (1.0 / n_f) * (1.0 - gv_f))
@@ -114,7 +151,7 @@ def eval_residuals(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.
         return p_i, p_f, None
 
     # direction derivatives a_i, a_f, reversed for switched types
-    sgn = -1.0 if stype.switched else 1.0
+    sgn = stype.direction
     hvi = gv_i * sgn  # hdir . v_i
     hvf = gv_f * sgn
     hx, hy, hz = sgn * gx, sgn * gy, sgn * gz
@@ -143,15 +180,14 @@ def eval_residuals(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.
     return p_i, p_f, J
 
 
-def eval_ahead(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndarray) -> np.ndarray:
+def eval_ahead(batch: RayBatch, stype: SolutionType | TypeBatch, hi: np.ndarray, hf: np.ndarray) -> np.ndarray:
     """Signed separation (c_f - c_i) . hdir used by directional validity.
 
     NaN where the geometry is singular.
     """
     vi, vf = batch.vi, batch.vf
-    geo = _geometry(batch, stype, hi, hf)
-    pt_i, pt_f, _, _, g, ends, bad = geo
-    sgn = -1.0 if stype.switched else 1.0
+    pt_i, pt_f, _, g, ends, bad = _geometry(batch, stype, hi, hf)
+    sgn = stype.direction
     h = (sgn * g[0], sgn * g[1], sgn * g[2])
     centers = []
     for v, off, sign, (_, n, _) in zip((vi, vf), (pt_i, pt_f), (stype.start_sign, stype.end_sign), ends):
@@ -162,18 +198,18 @@ def eval_ahead(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndar
     return np.where(bad, np.nan, ahead)
 
 
-def directionally_valid(stype: SolutionType, ahead: np.ndarray) -> np.ndarray:
+def directionally_valid(stype: SolutionType | TypeBatch, ahead: np.ndarray) -> np.ndarray:
     """Array form of `path.check_directionality` on eval_ahead's output.
 
     Regular roots need the goal-side circle ahead, switched roots behind it,
     both within EPS_ZERO r; NaN (singular geometry) is never valid.
     """
-    if stype.switched:
-        return ahead <= EPS_ZERO
-    return ahead >= -EPS_ZERO
+    return stype.direction * ahead >= -EPS_ZERO
 
 
-def eval_fd_jacobian(batch: RayBatch, stype: SolutionType, hi: np.ndarray, hf: np.ndarray, step: float = 1e-6):
+def eval_fd_jacobian(
+    batch: RayBatch, stype: SolutionType | TypeBatch, hi: np.ndarray, hf: np.ndarray, step: float = 1e-6
+):
     """Central finite-difference Jacobian (the gradient-free solver mode)."""
     pi_a, pf_a, _ = eval_residuals(batch, stype, hi + step, hf)
     pi_b, pf_b, _ = eval_residuals(batch, stype, hi - step, hf)
@@ -199,7 +235,7 @@ class NewtonResult:
 
 def newton(
     batch: RayBatch,
-    stype: SolutionType,
+    stype: SolutionType | TypeBatch,
     hi0: np.ndarray,
     hf0: np.ndarray,
     tol: float,
@@ -209,7 +245,10 @@ def newton(
 ) -> NewtonResult:
     """Damped Newton iteration on every element of the batch.
 
-    An element converges when max(|p_i|, |p_f|) <= tol.  Elements are dropped
+    stype is one type for every element or a TypeBatch of one type per
+    element; elements never interact, so each one's iterates, residuals and
+    iteration count do not depend on what else is in the batch.  An element
+    converges when max(|p_i|, |p_f|) <= tol.  Elements are dropped
     when the geometry turns singular with no acceptable backtracked step,
     when the Jacobian degenerates, when progress plateaus, or when the
     iterate runs past h_limit.
@@ -226,17 +265,18 @@ def newton(
         iterations=np.zeros(n_total, np.int64),
     )
     idx = np.arange(n_total)
-    cur = batch
+    cur, types = batch, TypeBatch.build(stype, n_total)
     chi, chf = hi, hf
-    cpi, cpf, _ = eval_residuals(cur, stype, chi, chf)
+    cpi, cpf, _ = eval_residuals(cur, types, chi, chf)
     cfn = np.hypot(cpi, cpf)
     alive = np.isfinite(cfn)
     hist: list[np.ndarray] = [cfn]
 
     def shrink(sel: np.ndarray) -> None:
-        nonlocal idx, cur, chi, chf, cpi, cpf, cfn, hist
+        nonlocal idx, cur, types, chi, chf, cpi, cpf, cfn, hist
         idx = idx[sel]
         cur = cur.take(sel)
+        types = types.take(sel)
         chi = chi[sel]
         chf = chf[sel]
         cpi = cpi[sel]
@@ -263,9 +303,9 @@ def newton(
         if k == max_iters:
             break
         if use_gradient:
-            _, _, J = eval_residuals(cur, stype, chi, chf, jac=True)
+            _, _, J = eval_residuals(cur, types, chi, chf, jac=True)
         else:
-            J = eval_fd_jacobian(cur, stype, chi, chf)
+            J = eval_fd_jacobian(cur, types, chi, chf)
         jii, jif, jfi, jff = J
         det = jii * jff - jif * jfi
         ok = np.isfinite(det) & (np.abs(det) > 1e-14)
@@ -287,7 +327,7 @@ def newton(
                 break
             thi = chi[pend] + lam[pend] * dhi[pend]
             thf = chf[pend] + lam[pend] * dhf[pend]
-            tpi, tpf, _ = eval_residuals(cur.take(pend), stype, thi, thf)
+            tpi, tpf, _ = eval_residuals(cur.take(pend), types.take(pend), thi, thf)
             tfn = np.hypot(tpi, tpf)
             good = np.isfinite(tfn) & (tfn < cfn[pend])
             sel = pend[good]

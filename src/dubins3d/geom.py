@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Vectors shorter than this are treated as zero.  The solvers apply it in
-# units of the radius, well below geometric noise and well above double
-# rounding; the scalar `residual` reference and `path.check_directionality`
-# apply it in the instance's own units.
+# Vectors shorter than this are treated as zero.  The solvers and
+# `path.check_directionality` apply it in units of the radius, well below
+# geometric noise and well above double rounding; the scalar `residual`
+# reference applies it in the instance's own units.
 EPS_ZERO = 1e-9
 
 _UNIT_TOL = 1e-12

@@ -4,8 +4,8 @@ Independent of the multistart solver's seeding: the residual fields of all
 requested types are sampled on a dense grid from one geometry pass
 (`sample_contours`), cells where both fields change sign are detected in
 marching-squares fashion, and one Newton batch refines from the centre of
-every such cell.  Used to audit solver completeness and to export residual
-fields for plotting.  As in `solver`, both run in units of the radius;
+every such cell of every type.  Used to audit solver completeness and to
+export residual fields for plotting.  As in `solver`, both run in units of the radius;
 windows, fields and roots are in the instance's own units.
 """
 
@@ -128,7 +128,7 @@ def sample_contours(
     r = inst.radius
     hi_nodes, hf_nodes = window.nodes()
     hi, hf = (hi_nodes / r)[:, None], (hf_nodes / r)[None, :]
-    ends, bad = _batch._geometry(RayBatch.from_instance(inst, 1), ALL_TYPES[0], hi, hf)[5:]
+    ends, bad = _batch._geometry(RayBatch.from_instance(inst, 1), ALL_TYPES[0], hi, hf)[-2:]
     # keep only |v x g| and g . v per end: holding the rest of the geometry
     # while the fields are formed costs page faults and peak RSS
     (n_i, gv_i), (n_f, gv_f) = [end[1:] for end in ends]
@@ -163,6 +163,36 @@ def build_contours(inst: ProblemInstance, stype: SolutionType, window: GridWindo
     return next(sample_contours(inst, window, (stype,)))
 
 
+def _cell_centres(cmap: ContourMap) -> tuple[np.ndarray, np.ndarray]:
+    """The centre of every cell of the map where both fields change sign."""
+    i, j = cmap.intersection_cells().T
+    return 0.5 * (cmap.h_i_nodes[i] + cmap.h_i_nodes[i + 1]), 0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1])
+
+
+def _refine(
+    inst: ProblemInstance, window: GridWindow, seeds: list[tuple[SolutionType, np.ndarray, np.ndarray]]
+) -> dict[int, list[HPair]]:
+    """`refine_roots` for every (type, h_i seeds, h_f seeds) entry, keyed by
+    type id: one Newton batch over all their seeds, roots merged per type."""
+    r = inst.radius
+    counts = [hi.size for _, hi, _ in seeds]
+    hi0 = np.concatenate([hi for _, hi, _ in seeds])
+    hf0 = np.concatenate([hf for _, _, hf in seeds])
+    rb = RayBatch.from_instance(inst, hi0.size)
+    types = _batch.TypeBatch.repeat([t for t, _, _ in seeds], counts)
+    res = _batch.newton(rb, types, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, max_iters=60)
+    res.h_i *= r
+    res.h_f *= r
+    cand = np.flatnonzero(res.converged & window.contains(res, 1e-9 * r))
+    group = np.repeat(np.arange(len(seeds)), counts)
+    roots: dict[int, list[HPair]] = {t.type_id: [] for t, _, _ in seeds}
+    for q in dedup(cand, group, res.h_i, res.h_f, res.max_abs(), DEFAULT_DEDUP_TOL * r):
+        roots[seeds[group[q]][0].type_id].append(HPair(float(res.h_i[q]), float(res.h_f[q])))
+    for found in roots.values():
+        found.sort(key=lambda p: (p.h_i, p.h_f))
+    return roots
+
+
 def refine_roots(inst: ProblemInstance, cmap: ContourMap) -> list[HPair]:
     """All roots of the map's type inside its window, found by one Newton
     batch seeded at the centre of every cell where both residual fields
@@ -172,19 +202,7 @@ def refine_roots(inst: ProblemInstance, cmap: ContourMap) -> list[HPair]:
     the rest are merged within DEFAULT_DEDUP_TOL r (smallest residual wins)
     and returned sorted by (h_i, h_f).
     """
-    r = inst.radius
-    i, j = cmap.intersection_cells().T
-    hi0 = 0.5 * (cmap.h_i_nodes[i] + cmap.h_i_nodes[i + 1])
-    hf0 = 0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1])
-    rb = RayBatch.from_instance(inst, hi0.size)
-    res = _batch.newton(rb, cmap.stype, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, max_iters=60)
-    res.h_i *= r
-    res.h_f *= r
-    cand = np.flatnonzero(res.converged & cmap.window.contains(res, 1e-9 * r))
-    kept = dedup(cand, np.zeros(hi0.size, np.int64), res.h_i, res.h_f, res.max_abs(), DEFAULT_DEDUP_TOL * r)
-    roots = [HPair(float(res.h_i[q]), float(res.h_f[q])) for q in kept]
-    roots.sort(key=lambda p: (p.h_i, p.h_f))
-    return roots
+    return _refine(inst, cmap.window, [(cmap.stype, *_cell_centres(cmap))])[cmap.stype.type_id]
 
 
 def enumerate_roots(inst: ProblemInstance, stype: SolutionType, window: GridWindow) -> list[HPair]:
@@ -194,6 +212,8 @@ def enumerate_roots(inst: ProblemInstance, stype: SolutionType, window: GridWind
 
 
 def enumerate_all_types(inst: ProblemInstance, window: GridWindow) -> dict[int, list[HPair]]:
-    """enumerate_roots for every type, keyed by type id, from one sampling
-    pass (`sample_contours`)."""
-    return {cmap.stype.type_id: refine_roots(inst, cmap) for cmap in sample_contours(inst, window)}
+    """refine_roots for every type, keyed by type id: the cell centres of all
+    eight maps are collected while one sampling pass (`sample_contours`)
+    yields them, so only one family's fields are alive at a time, and one
+    Newton batch refines them all, merging roots per type."""
+    return _refine(inst, window, [(cmap.stype, *_cell_centres(cmap)) for cmap in sample_contours(inst, window)])

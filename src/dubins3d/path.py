@@ -91,12 +91,14 @@ def check_directionality(cand: SolutionCandidate) -> ValidityVerdict:
     """Classify a root by the travel direction its straight segment implies.
 
     Regular roots need the goal-side circle ahead along the segment direction,
-    switched roots behind it; a vanishing separation is a valid path whose
-    segment degenerates to a point.
+    switched roots behind it; a separation within EPS_ZERO r is a valid path
+    whose segment degenerates to a point.  The radius r is read off the
+    candidate: the start circle's centre lies r from the segment line.
     """
     geo = cand.geometry
+    r = (geo.c_i - geo.h_pt_i).cross(geo.hdir).norm()
     ahead = (geo.c_f - geo.c_i).dot(geo.hdir)
-    if abs(ahead) <= EPS_ZERO:
+    if abs(ahead) <= EPS_ZERO * r:
         return ValidityVerdict(True, "degenerate_segment")
     if not cand.stype.switched and ahead < 0.0:
         return ValidityVerdict(False, "regular_backward")

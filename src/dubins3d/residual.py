@@ -61,6 +61,12 @@ class SolutionType:
             raise ValueError("signs must be +1 or -1")
 
     @property
+    def direction(self) -> float:
+        """-1.0 for switched types, whose travel reverses the segment
+        direction, else 1.0."""
+        return -1.0 if self.switched else 1.0
+
+    @property
     def type_id(self) -> int:
         """Type number 1-8: regular types are 1-4, switched 5-8; within each
         family the start sign is the column and the end sign the row."""

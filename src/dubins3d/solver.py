@@ -1,14 +1,14 @@
 """Multistart damped-Newton root finding over the eight solution types.
 
 Each type's 2x2 tangency system is solved from a set of seeds (a single seed
-or a grid spanning the instance scale) in one Newton batch per type.  The
-converged iterates of all types are merged in arrays first, the smallest
-residual winning each cluster; only the survivors are then re-verified
-through the scalar evaluation path, and they come back in a deterministic
-order.  Directional validity is a separate concern handled by the `path`
-module.  Every solve runs on the instance scaled to unit radius, so
-tolerances are in units of r and the roots do not depend on the unit of
-length.
+or a grid spanning the instance scale); one Newton batch carries every
+(type, seed) pair, the type given per element.  The converged iterates of
+all types are merged in arrays first, the smallest residual winning each
+cluster; only the survivors are then re-verified through the scalar
+evaluation path, and they come back in a deterministic order.  Directional
+validity is a separate concern handled by the `path` module.  Every solve
+runs on the instance scaled to unit radius, so tolerances are in units of r
+and the roots do not depend on the unit of length.
 """
 
 from __future__ import annotations
@@ -213,31 +213,30 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
     r = inst.radius
     tol = opts.residual_tol
     hi0, hf0 = _seed_arrays(inst, opts.seed_policy)
-    rb = _batch.RayBatch.from_instance(inst, len(hi0))
-    h_limit = runaway_limit(inst.span / r)
-    ui0, uf0 = hi0 / r, hf0 / r
-    runs = [
-        _batch.newton(rb, t, ui0, uf0, tol, max_iters=opts.max_iters, use_gradient=opts.use_gradient, h_limit=h_limit)
-        for t in ALL_TYPES
-    ]
     # element q is type ALL_TYPES[q // k] from seed q % k, in units of r
     k = len(hi0)
-    group = np.repeat(np.arange(len(ALL_TYPES)), k)
-    h_i = np.concatenate([run.h_i for run in runs])
-    h_f = np.concatenate([run.h_f for run in runs])
-    resid = np.concatenate([run.max_abs() for run in runs])
-    iterations = np.concatenate([run.iterations for run in runs])
-    converged = np.flatnonzero(np.concatenate([run.converged for run in runs]))
+    n = len(ALL_TYPES) * k
+    group = np.arange(n) // k
+    run = _batch.newton(
+        _batch.RayBatch.from_instance(inst, n),
+        _batch.TypeBatch.repeat(ALL_TYPES, k),
+        np.tile(hi0 / r, len(ALL_TYPES)),
+        np.tile(hf0 / r, len(ALL_TYPES)),
+        tol,
+        max_iters=opts.max_iters,
+        use_gradient=opts.use_gradient,
+        h_limit=runaway_limit(inst.span / r),
+    )
 
     unit = inst.in_radius_units()
     out: list[SolutionCandidate] = []
-    for q in dedup(converged, group, h_i, h_f, resid, opts.dedup_tol):
+    for q in dedup(np.flatnonzero(run.converged), group, run.h_i, run.h_f, run.max_abs(), opts.dedup_tol):
         stype = ALL_TYPES[group[q]]
-        hp = HPair(float(h_i[q]), float(h_f[q]))
+        hp = HPair(float(run.h_i[q]), float(run.h_f[q]))
         res, geo = residuals(unit, stype, hp)
         # re-verified through the scalar path; drop anything that drifted
         if res.max_abs() <= tol:
             seed = HPair(float(hi0[q % k]), float(hf0[q % k]))
-            out.append(_candidate(r, stype, hp, res, geo, int(iterations[q]), seed))
+            out.append(_candidate(r, stype, hp, res, geo, int(run.iterations[q]), seed))
     out.sort(key=lambda c: (c.type_id, c.hp.h_i, c.hp.h_f))
     return out

@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from dubins3d.batch import RayBatch, directionally_valid, eval_ahead, eval_fd_jacobian, eval_residuals, newton
+from dubins3d.batch import (
+    RayBatch,
+    TypeBatch,
+    directionally_valid,
+    eval_ahead,
+    eval_fd_jacobian,
+    eval_residuals,
+    newton,
+)
 from dubins3d.geom import EPS_ZERO, instance
 from dubins3d.path import check_directionality
 from dubins3d.residual import (
@@ -143,3 +151,81 @@ def test_newton_instance_arrays_per_element():
         ref, _ = residuals(inst, ALL_TYPES[0], HPair(float(res.h_i[k]), float(res.h_f[k])))
         assert ref.max_abs() <= 1e-9
     assert res.h_i[0] != res.h_i[1]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def mixed_batch(rng, per=40):
+    """Elements on six random pairs and one collinear (everywhere singular)
+    pair, each element with a random type and random offsets in units of r."""
+    insts = [random_instance(rng) for _ in range(6)] + [instance((0, 0, 0), (0, 0, 1), (0, 0, 5), (0, 0, 1))]
+    parts = [RayBatch.from_instance(inst, per) for inst in insts]
+    joined = lambda f: tuple(np.concatenate([getattr(b, f)[k] for b in parts]) for k in range(3))
+    rb = RayBatch(joined("xi"), joined("vi"), joined("xf"), joined("vf"))
+    n = len(rb)
+    stypes = [ALL_TYPES[t] for t in rng.integers(0, 8, n)]
+    return rb, stypes, rng.uniform(-8, 8, n), rng.uniform(-8, 8, n)
+
+
+def per_type(stypes):
+    """(type, indices of its elements) for every type present."""
+    for stype in ALL_TYPES:
+        sel = np.flatnonzero([t == stype for t in stypes])
+        if sel.size:
+            yield stype, sel
+
+
+def test_mixed_type_evaluations_equal_per_type_calls_bitwise():
+    rng = np.random.default_rng(21)
+    for _ in range(4):
+        rb, stypes, hi, hf = mixed_batch(rng)
+        types = TypeBatch.repeat(stypes, 1)
+        fused = {
+            "res": eval_residuals(rb, types, hi, hf)[:2],
+            "jac": eval_residuals(rb, types, hi, hf, jac=True),
+            "fd": eval_fd_jacobian(rb, types, hi, hf),
+        }
+        ahead = eval_ahead(rb, types, hi, hf)
+        assert np.isnan(ahead).any() and np.isfinite(ahead).any()
+        valid = directionally_valid(types, ahead)
+        for stype, sel in per_type(stypes):
+            sub = rb.take(sel)
+            p_i, p_f, J = eval_residuals(sub, stype, hi[sel], hf[sel], jac=True)
+            want = {"res": (p_i, p_f), "jac": (p_i, p_f, *J), "fd": eval_fd_jacobian(sub, stype, hi[sel], hf[sel])}
+            got = {"res": fused["res"], "jac": fused["jac"][:2] + fused["jac"][2], "fd": fused["fd"]}
+            for name in want:
+                for a, b in zip(got[name], want[name]):
+                    assert _same_bits(a[sel], b), (stype, name)
+            sub_ahead = eval_ahead(sub, stype, hi[sel], hf[sel])
+            assert _same_bits(ahead[sel], sub_ahead), stype
+            assert _same_bits(valid[sel], directionally_valid(stype, sub_ahead)), stype
+            # a TypeBatch of one type is the same as the type itself
+            assert _same_bits(eval_ahead(sub, TypeBatch.build(stype, sel.size), hi[sel], hf[sel]), sub_ahead)
+
+
+@pytest.mark.parametrize("use_gradient,max_iters,h_limit", [(True, 100, 40.0), (False, 100, np.inf), (True, 4, np.inf)])
+def test_mixed_type_newton_equals_per_type_newton_bitwise(use_gradient, max_iters, h_limit):
+    # elements converge, run away, plateau, hit singular geometry or run
+    # out of iterations at different steps, so every shrink mixes types
+    rng = np.random.default_rng(22)
+    rb, stypes, hi, hf = mixed_batch(rng, per=60)
+    kw = dict(max_iters=max_iters, use_gradient=use_gradient, h_limit=h_limit)
+    fused = newton(rb, TypeBatch.repeat(stypes, 1), hi, hf, 1e-9, **kw)
+    assert 0 < fused.converged.sum() < len(rb)
+    fields = ("h_i", "h_f", "p_i", "p_f", "converged", "iterations")
+    for stype, sel in per_type(stypes):
+        one = newton(rb.take(sel), stype, hi[sel], hf[sel], 1e-9, **kw)
+        for name in fields:
+            assert _same_bits(getattr(fused, name)[sel], getattr(one, name)), (stype, name)
+
+
+def test_type_batch_repeat_is_type_major():
+    types = TypeBatch.repeat(ALL_TYPES, 2)
+    assert types.direction.tolist() == [-1.0 if t.switched else 1.0 for t in ALL_TYPES for _ in range(2)]
+    assert types.start_sign.tolist() == [t.start_sign for t in ALL_TYPES for _ in range(2)]
+    types = TypeBatch.repeat(ALL_TYPES[6:], [0, 3])
+    assert types.end_sign.tolist() == [ALL_TYPES[7].end_sign] * 3
+    assert TypeBatch.repeat([], []).direction.size == 0

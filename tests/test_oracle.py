@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dubins3d.batch import RayBatch, eval_residuals
+from dubins3d.batch import RayBatch, eval_residuals, newton
 from dubins3d.geom import Configuration, ProblemInstance, instance
 from dubins3d.oracle import (
     ZERO_SNAP,
@@ -19,7 +19,17 @@ from dubins3d.oracle import (
 from dubins3d.path import check_directionality
 from dubins3d.residual import ALL_TYPES, REGULAR_TYPES, HPair, SolutionType, residuals
 from dubins3d.scenarios import load_bundled
-from dubins3d.solver import DEFAULT_DEDUP_TOL, NotConverged, SeedGrid, SingleSeed, SolverOptions, solve_all, solve_type
+from dubins3d.solver import (
+    DEFAULT_DEDUP_TOL,
+    DEFAULT_RESIDUAL_TOL,
+    NotConverged,
+    SeedGrid,
+    SingleSeed,
+    SolverOptions,
+    dedup,
+    solve_all,
+    solve_type,
+)
 
 PLANAR_FAR = load_bundled("planar_far").instance
 PLANAR_CLOSE = load_bundled("planar_close").instance
@@ -252,6 +262,22 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _refine_one_map(inst, cmap):
+    """refine_roots as one Newton batch for the map's type alone, merged on
+    its own: the per-map path the batch over all types replaced."""
+    r = inst.radius
+    i, j = cmap.intersection_cells().T
+    hi0 = 0.5 * (cmap.h_i_nodes[i] + cmap.h_i_nodes[i + 1])
+    hf0 = 0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1])
+    rb = RayBatch.from_instance(inst, hi0.size)
+    res = newton(rb, cmap.stype, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, max_iters=60)
+    res.h_i *= r
+    res.h_f *= r
+    cand = np.flatnonzero(res.converged & cmap.window.contains(res, 1e-9 * r))
+    kept = dedup(cand, np.zeros(hi0.size, np.int64), res.h_i, res.h_f, res.max_abs(), DEFAULT_DEDUP_TOL * r)
+    return sorted((HPair(float(res.h_i[q]), float(res.h_f[q])) for q in kept), key=lambda p: (p.h_i, p.h_f))
+
+
 def test_sample_contours_bitwise_equals_per_type_sampling():
     rng = np.random.default_rng(5)
     cases = [load_bundled(name).instance for name in BUNDLED]
@@ -269,6 +295,8 @@ def test_sample_contours_bitwise_equals_per_type_sampling():
         every = enumerate_all_types(inst, window)
         assert every == {t.type_id: enumerate_roots(inst, t, window) for t in ALL_TYPES}
         assert every == {t.type_id: refine_roots(inst, refs[t]) for t in ALL_TYPES}
+        # one Newton batch over all eight maps' cells equals one per map
+        assert every == {t.type_id: _refine_one_map(inst, refs[t]) for t in ALL_TYPES}
 
 
 def test_sample_contours_yields_requested_types_by_family():

@@ -37,8 +37,10 @@ def candidate_at(inst, stype, hp, iterations=0):
 
 
 def synthetic_candidate(switched, c_i, c_f, hdir):
+    # the start offset point lies one radius off the segment line through
+    # c_i (hdir is perpendicular to y in every use), so r = 1
     stype = SolutionType(switched=switched, start_sign=1, end_sign=1)
-    geo = Geometry(Vec3(0, 0, 0), Vec3(0, 0, 1), UnitVec3(*hdir), Vec3(*c_i), Vec3(*c_f))
+    geo = Geometry(Vec3(*c_i) + Vec3(0, 1, 0), Vec3(0, 0, 1), UnitVec3(*hdir), Vec3(*c_i), Vec3(*c_f))
     return SolutionCandidate(stype, HPair(0.0, 1.0), ResidualPair(0.0, 0.0), geo, 0, HPair(0, 0))
 
 
@@ -327,3 +329,21 @@ def test_verify_path_tangent_tolerance_scales_with_radius(s):
     tilted = instance(inst.start.position.as_tuple(), (math.sin(1e-6), 0.0, math.cos(1e-6)), inst.goal.position.as_tuple(), inst.goal.direction.as_tuple(), s)
     report = verify_path(p, tilted)
     assert set(report.failures()) == {"start_tangent"}
+
+
+def test_directionality_band_is_in_units_of_r():
+    # a switched_forward type-8 root whose circles are only 0.058 r apart
+    # along the segment: an absolute 1e-9 band would call it a degenerate
+    # segment once every length is scaled by 1e-8
+    inst = instance(
+        (-0.9073, 3.1642, 1.6536), (1.6954, 1.8094, 0.1297), (-0.8984, 2.9773, 2.4241), (1.5387, 1.2693, -0.495), 1.65
+    )
+    near = []
+    for cand in solve_all(inst):
+        geo = cand.geometry
+        if cand.type_id == 8 and abs((geo.c_f - geo.c_i).dot(geo.hdir)) < 0.1 * inst.radius:
+            near.append(cand)
+    assert [check_directionality(c).reason for c in near] == ["switched_forward"]
+    base = [(c.type_id, check_directionality(c).reason) for c in solve_all(inst)]
+    for s in (1e-9, 1e-8, 1e6):
+        assert [(c.type_id, check_directionality(c).reason) for c in solve_all(scaled(inst, s))] == base

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from dubins3d.batch import RayBatch, newton
 from dubins3d.geom import instance
 from dubins3d.path import check_directionality
-from dubins3d.residual import HPair, SolutionType, residuals
+from dubins3d.residual import ALL_TYPES, HPair, SolutionType, residuals
 from dubins3d.scenarios import load_bundled
 from dubins3d.solver import (
     CollinearInstance,
@@ -11,14 +12,28 @@ from dubins3d.solver import (
     SeedGrid,
     SingleSeed,
     SolverOptions,
+    _candidate,
+    _seed_arrays,
     collinearity,
     dedup,
+    runaway_limit,
     solve_all,
     solve_type,
 )
 
 SEED_SENSITIVITY = load_bundled("seed_sensitivity").instance
 PLANAR_FAR = load_bundled("planar_far").instance
+BUNDLED = (
+    "planar_far",
+    "planar_close",
+    "nonplanar_far",
+    "nonplanar_close",
+    "planar_far_2",
+    "planar_close_2",
+    "nonplanar_far_2",
+    "nonplanar_close_2",
+    "seed_sensitivity",
+)
 
 
 def test_solve_type_reaches_recorded_root():
@@ -161,3 +176,50 @@ def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(dedup_tol=0.0)
     assert SolverOptions().residual_tol == 1e-9
+
+
+def solve_all_per_type(inst, opts):
+    """solve_all with one Newton batch per type, the runs concatenated
+    type-major before the merge: the layout the fused batch replaced."""
+    r = inst.radius
+    hi0, hf0 = _seed_arrays(inst, opts.seed_policy)
+    rb = RayBatch.from_instance(inst, len(hi0))
+    kw = dict(max_iters=opts.max_iters, use_gradient=opts.use_gradient, h_limit=runaway_limit(inst.span / r))
+    runs = [newton(rb, t, hi0 / r, hf0 / r, opts.residual_tol, **kw) for t in ALL_TYPES]
+    k = len(hi0)
+    group = np.repeat(np.arange(len(ALL_TYPES)), k)
+    h_i = np.concatenate([run.h_i for run in runs])
+    h_f = np.concatenate([run.h_f for run in runs])
+    resid = np.concatenate([run.max_abs() for run in runs])
+    iterations = np.concatenate([run.iterations for run in runs])
+    converged = np.concatenate([run.converged for run in runs])
+    unit = inst.in_radius_units()
+    out = []
+    for q in dedup(np.flatnonzero(converged), group, h_i, h_f, resid, opts.dedup_tol):
+        stype = ALL_TYPES[group[q]]
+        hp = HPair(float(h_i[q]), float(h_f[q]))
+        res, geo = residuals(unit, stype, hp)
+        if res.max_abs() <= opts.residual_tol:
+            seed = HPair(float(hi0[q % k]), float(hf0[q % k]))
+            out.append(_candidate(r, stype, hp, res, geo, int(iterations[q]), seed))
+    out.sort(key=lambda c: (c.type_id, c.hp.h_i, c.hp.h_f))
+    return out
+
+
+def test_fused_solve_all_equals_per_type_batches():
+    rng = np.random.default_rng(31)
+    cases = [load_bundled(name).instance for name in BUNDLED]
+    for r in (1e-3, 1.0, 1e3):
+        for _ in range(3):
+            xf = rng.uniform(-6, 6, 3) * r
+            cases.append(instance((0, 0, 0), tuple(rng.normal(size=3)), tuple(xf), tuple(rng.normal(size=3)), r))
+    options = (SolverOptions(), SolverOptions(use_gradient=False), SolverOptions(seed_policy=SingleSeed()))
+    roots = 0
+    for inst in cases:
+        for opts in options:
+            got = solve_all(inst, opts)
+            # candidates compare every float exactly: offsets, residuals,
+            # geometry, iterations and seed
+            assert got == solve_all_per_type(inst, opts), (inst, opts)
+            roots += len(got)
+    assert roots > 300
