@@ -6,7 +6,8 @@ scalar or an (N,) array) and per-element solution types (the three signs of
 the same machinery serves every workload: all types from many seeds on one
 problem (multistart), seeds on many problems at once (parameter sweeps), and
 grid refinement of every type's cells.  Singular evaluations yield NaN and
-the owning element is dropped rather than patched.  A batch holds instances
+the owning element is dropped rather than patched; `newton` pads what is left
+with copies of live elements to a few fixed sizes.  A batch holds instances
 scaled to unit radius, so offsets, residuals, tolerances and floors here are
 all in units of r.
 
@@ -32,6 +33,9 @@ MAX_HALVINGS = 20
 # iterations are abandoned as non-converging (they hug singular ridges).
 PLATEAU_WINDOW = 3
 PLATEAU_FACTOR = 0.99
+# Batch sizes newton shrinks to: powers of two up to PAD_STEP, then
+# multiples of PAD_STEP (see _pad).
+PAD_STEP = 16
 
 Components = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -219,6 +223,26 @@ def eval_fd_jacobian(
     return ((pi_a - pi_b) * inv, (pi_c - pi_d) * inv, (pf_a - pf_b) * inv, (pf_c - pf_d) * inv)
 
 
+def _pad(pos: np.ndarray, cap: int) -> np.ndarray:
+    """pos followed by a repeat of its first entries, up to the next size of
+    a fixed ladder (powers of two up to PAD_STEP, then multiples of it) but
+    at most cap.
+
+    A repeated element is an exact copy and evolves exactly like its
+    original, so padding changes no result.  It keeps a shrinking batch to
+    a few array sizes: numpy caches up to seven freed buffers of every byte
+    size under 1 KB, and unpadded 656-element solve_all batches, shrinking
+    through every size, grew the malloc heap by 1.2 MB over the first 600
+    `plan` operations of the benchmark; padded, it does not grow.
+    """
+    m = pos.size
+    if m == 0:
+        return pos
+    size = min(1 << (m - 1).bit_length() if m <= PAD_STEP else -(-m // PAD_STEP) * PAD_STEP, cap)
+    # size < 2 m, so one partial repeat fills it
+    return pos if size == m else np.concatenate((pos, pos[: size - m]))
+
+
 @dataclass
 class NewtonResult:
     h_i: np.ndarray
@@ -251,7 +275,9 @@ def newton(
     converges when max(|p_i|, |p_f|) <= tol.  Elements are dropped
     when the geometry turns singular with no acceptable backtracked step,
     when the Jacobian degenerates, when progress plateaus, or when the
-    iterate runs past h_limit.
+    iterate runs past h_limit.  What is left is padded with copies of live
+    elements to a ladder size (`_pad`); a copy writes the same results to
+    the same output slot as its original.
     """
     n_total = len(hi0)
     hi = np.asarray(hi0, float).copy()
@@ -264,7 +290,8 @@ def newton(
         converged=np.zeros(n_total, bool),
         iterations=np.zeros(n_total, np.int64),
     )
-    idx = np.arange(n_total)
+    # positions [0, live) hold distinct elements, the rest copies of them
+    idx, live = np.arange(n_total), n_total
     cur, types = batch, TypeBatch.build(stype, n_total)
     chi, chf = hi, hf
     cpi, cpf, _ = eval_residuals(cur, types, chi, chf)
@@ -272,8 +299,13 @@ def newton(
     alive = np.isfinite(cfn)
     hist: list[np.ndarray] = [cfn]
 
-    def shrink(sel: np.ndarray) -> None:
-        nonlocal idx, cur, types, chi, chf, cpi, cpf, cfn, hist
+    def shrink(keep: np.ndarray) -> np.ndarray:
+        """Keep the distinct elements where `keep` holds, padded with
+        fresh copies; returns their positions in the old batch."""
+        nonlocal idx, live, cur, types, chi, chf, cpi, cpf, cfn, hist
+        sel = np.flatnonzero(keep[:live])
+        live = sel.size
+        sel = _pad(sel, idx.size)
         idx = idx[sel]
         cur = cur.take(sel)
         types = types.take(sel)
@@ -283,6 +315,7 @@ def newton(
         cpf = cpf[sel]
         cfn = cfn[sel]
         hist = [h[sel] for h in hist]
+        return sel
 
     shrink(alive)
     for k in range(max_iters + 1):
@@ -310,10 +343,10 @@ def newton(
         det = jii * jff - jif * jfi
         ok = np.isfinite(det) & (np.abs(det) > 1e-14)
         if not ok.all():
-            jii, jif, jfi, jff, det = (a[ok] for a in (jii, jif, jfi, jff, det))
-            shrink(ok)
+            sel = shrink(ok)
             if idx.size == 0:
                 break
+            jii, jif, jfi, jff, det = (a[sel] for a in (jii, jif, jfi, jff, det))
         dhi = (-cpi * jff + cpf * jif) / det
         dhf = (-cpf * jii + cpi * jfi) / det
 
@@ -321,23 +354,24 @@ def newton(
         accepted = np.zeros(idx.size, bool)
         nhi, nhf = chi.copy(), chf.copy()
         npi, npf, nfn = cpi.copy(), cpf.copy(), cfn.copy()
-        pend = np.arange(idx.size)
+        pend = np.arange(live)
         for _ in range(MAX_HALVINGS):
             if pend.size == 0:
                 break
-            thi = chi[pend] + lam[pend] * dhi[pend]
-            thf = chf[pend] + lam[pend] * dhf[pend]
-            tpi, tpf, _ = eval_residuals(cur.take(pend), types.take(pend), thi, thf)
+            at = _pad(pend, idx.size)
+            thi = chi[at] + lam[at] * dhi[at]
+            thf = chf[at] + lam[at] * dhf[at]
+            tpi, tpf, _ = eval_residuals(cur.take(at), types.take(at), thi, thf)
             tfn = np.hypot(tpi, tpf)
-            good = np.isfinite(tfn) & (tfn < cfn[pend])
-            sel = pend[good]
+            good = np.isfinite(tfn) & (tfn < cfn[at])
+            sel = at[good]
             nhi[sel] = thi[good]
             nhf[sel] = thf[good]
             npi[sel] = tpi[good]
             npf[sel] = tpf[good]
             nfn[sel] = tfn[good]
             accepted[sel] = True
-            pend = pend[~good]
+            pend = pend[~good[: pend.size]]
             lam[pend] *= 0.5
         keep = accepted
         if len(hist) >= PLATEAU_WINDOW:

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from dubins3d import batch as batch_mod
 from dubins3d.batch import (
+    PAD_STEP,
     RayBatch,
     TypeBatch,
     directionally_valid,
     eval_ahead,
     eval_fd_jacobian,
     eval_residuals,
+    _pad,
     newton,
 )
 from dubins3d.geom import EPS_ZERO, instance
@@ -24,7 +27,7 @@ from dubins3d.residual import (
     jacobian,
     residuals,
 )
-from dubins3d.solver import SolutionCandidate
+from dubins3d.solver import SolutionCandidate, solve_all
 
 
 def random_instance(rng):
@@ -229,3 +232,42 @@ def test_type_batch_repeat_is_type_major():
     types = TypeBatch.repeat(ALL_TYPES[6:], [0, 3])
     assert types.end_sign.tolist() == [ALL_TYPES[7].end_sign] * 3
     assert TypeBatch.repeat([], []).direction.size == 0
+
+
+@pytest.mark.parametrize("kw", [dict(h_limit=40.0), dict(use_gradient=False), dict(max_iters=4)])
+def test_newton_batch_equals_one_element_runs_bitwise(kw):
+    # a shrinking batch is padded with copies of live elements; a batch of
+    # one is never padded, and elements never interact
+    rng = np.random.default_rng(23)
+    rb, stypes, hi, hf = mixed_batch(rng, per=12)
+    whole = newton(rb, TypeBatch.repeat(stypes, 1), hi, hf, 1e-9, **kw)
+    assert 0 < whole.converged.sum() < len(rb)
+    for q in range(len(rb)):
+        one = newton(rb.take(np.array([q])), stypes[q], hi[q : q + 1], hf[q : q + 1], 1e-9, **kw)
+        for name in ("h_i", "h_f", "p_i", "p_f", "converged", "iterations"):
+            assert _same_bits(getattr(whole, name)[q : q + 1], getattr(one, name)), (q, name)
+
+
+def test_pad_ladder():
+    for m, cap, size in [(0, 8, 0), (1, 8, 1), (3, 8, 4), (5, 5, 5), (16, 99, 16), (17, 99, 32), (33, 40, 40), (600, 656, 608)]:
+        pos = 3 * np.arange(m)
+        got = _pad(pos, cap)
+        assert got.size == size and (got[:m] == pos).all() and set(got[m:].tolist()) <= set(pos.tolist())
+
+
+def test_newton_evaluates_ladder_sizes_only(monkeypatch):
+    sizes = set()
+    real = batch_mod.eval_residuals
+
+    def counting(batch, stype, hi, hf, jac=False):
+        sizes.add(np.size(hi))
+        return real(batch, stype, hi, hf, jac)
+
+    monkeypatch.setattr(batch_mod, "eval_residuals", counting)
+    rng = np.random.default_rng(24)
+    for _ in range(5):
+        solve_all(random_instance(rng))
+    # 8 types x 82 seeds, then ladder sizes only
+    assert 656 in sizes and len(sizes) > 5
+    assert all(s == 656 or (s <= PAD_STEP and s & (s - 1) == 0) or s % PAD_STEP == 0 for s in sizes), sorted(sizes)
+
