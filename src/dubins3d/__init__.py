@@ -59,8 +59,6 @@ from .scenarios import Scenario, load_bundled, load_scenario, parse_scenario
 from .solver import (
     CollinearInstance,
     NotConverged,
-    SeedGrid,
-    SingleSeed,
     SolutionCandidate,
     SolverOptions,
     dedup,
@@ -92,9 +90,7 @@ __all__ = [
     "ResidualPair",
     "SWITCHED_TYPES",
     "Scenario",
-    "SeedGrid",
     "Segment",
-    "SingleSeed",
     "SolutionCandidate",
     "SolutionType",
     "SolverOptions",

@@ -18,13 +18,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .geom import DubinsError, ProblemInstance
 from .oracle import GridWindow, enumerate_roots, sample_contours
 from .path import check_directionality, extract_path, verify_path
-from .residual import SolutionType
+from .residual import HPair, SolutionType
 from .scenarios import (
     REFERENCE_EXPECTATIONS,
     ReferenceExpectation,
@@ -32,7 +32,7 @@ from .scenarios import (
     load_bundled,
     load_scenario,
 )
-from .solver import CollinearInstance, SeedGrid, SingleSeed, SolverOptions, solve_all
+from .solver import CollinearInstance, SolverOptions, solve_all
 from .studies import SweepSpec, run_gradient_study, run_seed_study, run_sweep
 
 
@@ -134,20 +134,7 @@ def build_case_report(scenario: Scenario, opts: SolverOptions) -> dict:
     }
 
 
-CASE_CSV_COLUMNS = [
-    "type_id",
-    "h_i",
-    "h_f",
-    "valid",
-    "reason",
-    "path_length",
-    "theta_start",
-    "theta_end",
-    "segment_length",
-    "iterations",
-    "verify_ok",
-    "shortest",
-]
+CASE_CSV_COLUMNS = [f.name for f in fields(SolutionRow)]
 
 
 def _write_case_outputs(report: dict, out: Path, name: str, fmt: str) -> None:
@@ -163,26 +150,29 @@ def _write_case_outputs(report: dict, out: Path, name: str, fmt: str) -> None:
         _write_csv(out / f"{name}.csv", CASE_CSV_COLUMNS, rows)
 
 
-def _options_from_args(scenario: Scenario, args) -> SolverOptions:
-    opts = scenario.options
-    changes = {}
-    if getattr(args, "no_gradient", False):
-        changes["use_gradient"] = False
-    if getattr(args, "seed", None) is not None:
-        changes["seed_policy"] = SingleSeed(args.seed[0], args.seed[1])
-    elif getattr(args, "robust", False):
-        changes["seed_policy"] = SeedGrid()
-    return replace(opts, **changes)
+def _load(args) -> Scenario | None:
+    """The scenario file of args, its options overridden by the flags given;
+    None, after an error line on stderr, when it is malformed."""
+    try:
+        scenario = load_scenario(args.scenario)
+        changes = {}
+        if getattr(args, "no_gradient", False):
+            changes["use_gradient"] = False
+        if getattr(args, "seed", None) is not None:
+            changes["seed"] = HPair(*args.seed)
+        elif getattr(args, "robust", False):
+            changes["seed"] = None
+        return replace(scenario, options=replace(scenario.options, **changes))
+    except (OSError, ValueError, DubinsError) as exc:
+        print(f"error: cannot load scenario: {exc}", file=sys.stderr)
+        return None
 
 
 def cmd_solve(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, DubinsError) as exc:
-        print(f"error: cannot load scenario: {exc}", file=sys.stderr)
+    scenario = _load(args)
+    if scenario is None:
         return 1
-    opts = _options_from_args(scenario, args)
-    report = build_case_report(scenario, opts)
+    report = build_case_report(scenario, scenario.options)
     _write_case_outputs(report, Path(args.out), scenario.name, args.format)
     n_valid = report["n_valid"]
     if report.get("collinear"):
@@ -214,10 +204,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_seed_study(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (OSError, ValueError, json.JSONDecodeError, DubinsError) as exc:
-        print(f"error: cannot load scenario: {exc}", file=sys.stderr)
+    scenario = _load(args)
+    if scenario is None:
         return 1
     type_ids = tuple(args.type) if args.type else tuple(range(1, 9))
     rows = run_seed_study(scenario, args.window, args.resolution, type_ids)
@@ -253,10 +241,8 @@ def cmd_grad_study(args) -> int:
 
 
 def cmd_contours(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (OSError, ValueError, json.JSONDecodeError, DubinsError) as exc:
-        print(f"error: cannot load scenario: {exc}", file=sys.stderr)
+    scenario = _load(args)
+    if scenario is None:
         return 1
     inst = scenario.instance
     if args.window is not None:

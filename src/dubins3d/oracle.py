@@ -21,7 +21,7 @@ from .batch import RayBatch
 from .batch import eval_residuals  # noqa: F401  unused here; bench/tracing.py wraps oracle.eval_residuals
 from .geom import ProblemInstance
 from .residual import ALL_TYPES, HPair, SolutionType
-from .solver import DEFAULT_DEDUP_TOL, DEFAULT_RESIDUAL_TOL, dedup
+from .solver import DEFAULT_DEDUP_TOL, DEFAULT_RESIDUAL_TOL, GRID_MAX_ITERS, dedup
 from .solver import solve_type  # noqa: F401  unused here; bench/tracing.py wraps oracle.solve_type
 
 # Node values this close to zero (in units of r) count as crossings so roots
@@ -180,7 +180,7 @@ def _refine(
     hf0 = np.concatenate([hf for _, _, hf in seeds])
     rb = RayBatch.from_instance(inst, hi0.size)
     types = _batch.TypeBatch.repeat([t for t, _, _ in seeds], counts)
-    res = _batch.newton(rb, types, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, max_iters=60)
+    res = _batch.newton(rb, types, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, max_iters=GRID_MAX_ITERS)
     res.h_i *= r
     res.h_f *= r
     cand = np.flatnonzero(res.converged & window.contains(res, 1e-9 * r))

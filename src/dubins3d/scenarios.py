@@ -1,23 +1,27 @@
 """Scenario files and the bundled regression suite.
 
 A scenario is a JSON object with start/goal configurations, a turn radius,
-and optional solver option overrides.  The package ships a set of reference
-scenarios covering planar/non-planar and near/far cases together with their
-recorded expected outcomes, runnable as one regression batch from the CLI.
+and optional solver option overrides (`max_iters`, `use_gradient` and a
+`seed_policy` of kind "grid" or "single"); an unknown option key or a value
+of the wrong type is a ValueError that names the key.  The package ships a
+set of reference scenarios covering planar/non-planar and near/far cases
+together with their recorded expected outcomes, runnable as one regression
+batch from the CLI.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Any
+from typing import IO, Any, Callable
 
 from .geom import Configuration, ProblemInstance, Vec3, normalize
-from .solver import SeedGrid, SingleSeed, SolverOptions
+from .residual import HPair
+from .solver import SolverOptions
 
 # Loader warns when a scenario direction deviates from unit length by more
 # than this before normalization.
@@ -31,10 +35,44 @@ class Scenario:
     options: SolverOptions = field(default_factory=SolverOptions)
 
 
+# float_info.max also bounds integers too large for a float
+_NUMBER = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_POSITIVE = ("a positive number", lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max)
+_ANY = ("anything", lambda v: True)
+# The keys a scenario's "options" object, and each kind of its "seed_policy"
+# object, may hold, with what each value must be; any other key is an error.
+_KNOWN_KEYS = {
+    "options": {
+        "max_iters": ("a positive integer", lambda v: type(v) is int and v >= 1),
+        "use_gradient": ("true or false", lambda v: type(v) is bool),
+        "seed_policy": ("an object", lambda v: type(v) is dict),
+    },
+    "single": {"kind": _ANY, "h_i": _NUMBER, "h_f": _NUMBER},
+    "grid": {"kind": _ANY},
+}
+
+
+def _checked(value: Any, what: str, rule: tuple[str, Callable[[Any], bool]]) -> Any:
+    expect, ok = rule
+    if not ok(value):
+        raise ValueError(f"{what} must be {expect}, got {value!r}")
+    return value
+
+
+def _check_fields(obj: Any, what: str, known: dict) -> None:
+    """A ValueError naming the key, unless obj is an object whose every key
+    is known and whose every value meets its key's rule."""
+    _checked(obj, what, ("an object", lambda v: type(v) is dict))
+    for key, value in obj.items():
+        if key not in known:
+            raise ValueError(f"unknown key {what}.{key} (known: {', '.join(known)})")
+        _checked(value, f"{what}.{key}", known[key])
+
+
 def _parse_vec(obj: Any, what: str) -> Vec3:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 3):
         raise ValueError(f"{what} must be a 3-element array")
-    return Vec3(*(float(c) for c in obj))
+    return Vec3(*(float(_checked(c, f"{what}[{k}]", _NUMBER)) for k, c in enumerate(obj)))
 
 
 def _parse_configuration(obj: Any, what: str) -> Configuration:
@@ -48,43 +86,31 @@ def _parse_configuration(obj: Any, what: str) -> Configuration:
     return Configuration(position, normalize(raw))
 
 
-def _parse_seed_policy(obj: Any):
-    kind = obj.get("kind", "grid")
-    if kind == "single":
-        return SingleSeed(float(obj.get("h_i", 0.0)), float(obj.get("h_f", 0.0)))
-    if kind == "grid":
-        window = obj.get("window")
-        return SeedGrid(n=int(obj.get("n", 9)), window=None if window is None else float(window))
-    raise ValueError(f"unknown seed policy kind {kind!r}")
-
-
 def _parse_options(obj: Any) -> SolverOptions:
+    """Options from their JSON object.  seed_policy {"kind": "grid"} (the
+    default) runs the seed grid, {"kind": "single", "h_i": .., "h_f": ..} one
+    seed (each offset 0 when left out)."""
     if obj is None:
         return SolverOptions()
-    if not isinstance(obj, dict):
-        raise ValueError("options must be an object")
-    kwargs: dict[str, Any] = {}
-    if "residual_tol" in obj:
-        kwargs["residual_tol"] = float(obj["residual_tol"])
-    if "max_iters" in obj:
-        kwargs["max_iters"] = int(obj["max_iters"])
-    if "dedup_tol" in obj:
-        kwargs["dedup_tol"] = float(obj["dedup_tol"])
-    if "use_gradient" in obj:
-        kwargs["use_gradient"] = bool(obj["use_gradient"])
-    if "seed_policy" in obj:
-        kwargs["seed_policy"] = _parse_seed_policy(obj["seed_policy"])
-    return SolverOptions(**kwargs)
+    _check_fields(obj, "options", _KNOWN_KEYS["options"])
+    kwargs = dict(obj)
+    policy = kwargs.pop("seed_policy", {})
+    kind = policy.get("kind", "grid")
+    if kind not in ("single", "grid"):
+        raise ValueError(f"options.seed_policy.kind must be single or grid, got {kind!r}")
+    _check_fields(policy, "options.seed_policy", _KNOWN_KEYS[kind])
+    seed = HPair(float(policy.get("h_i", 0.0)), float(policy.get("h_f", 0.0))) if kind == "single" else None
+    return SolverOptions(**kwargs, seed=seed)
 
 
 def parse_scenario(data: Any, name: str = "scenario") -> Scenario:
+    """A scenario from its JSON object; ValueError on malformed input, naming
+    the offending key."""
     if not isinstance(data, dict):
         raise ValueError("scenario must be a JSON object")
     start = _parse_configuration(data.get("start"), "start")
     goal = _parse_configuration(data.get("goal"), "goal")
-    radius = float(data.get("radius", 1.0))
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be positive, got {radius!r}")
+    radius = float(_checked(data.get("radius", 1.0), "radius", _POSITIVE))
     return Scenario(name, ProblemInstance(start, goal, radius), _parse_options(data.get("options")))
 
 

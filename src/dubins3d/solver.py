@@ -1,20 +1,20 @@
 """Multistart damped-Newton root finding over the eight solution types.
 
-Each type's 2x2 tangency system is solved from a set of seeds (a single seed
-or a grid spanning the instance scale); one Newton batch carries every
-(type, seed) pair, the type given per element.  The converged iterates of
-all types are merged in arrays first, the smallest residual winning each
-cluster; only the survivors are then re-verified through the scalar
-evaluation path, and they come back in a deterministic order.  Directional
-validity is a separate concern handled by the `path` module.  Every solve
-runs on the instance scaled to unit radius, so tolerances are in units of r
-and the roots do not depend on the unit of length.
+Each type's 2x2 tangency system is solved from a set of seeds: a single seed,
+or the grid of `seed_grid` spanning the instance scale, which `run_sweep`
+seeds its cells from as well.  One Newton batch carries every (type, seed)
+pair, the type given per element.  The converged iterates of all types are
+merged in arrays first, the smallest residual winning each cluster; only the
+survivors are then re-verified through the scalar evaluation path, and they
+come back in a deterministic order.  Directional validity is a separate
+concern handled by the `path` module.  Every solve runs on the instance
+scaled to unit radius, so tolerances are in units of r and the roots do not
+depend on the unit of length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,9 @@ DEFAULT_DEDUP_TOL = 1e-6
 DEFAULT_RESIDUAL_TOL = 1e-9
 # Seeds wandering beyond this multiple of the seeding half-width are abandoned.
 RUNAWAY_SCALE = 100.0
+# Newton iteration limit of the grid-seeded batches: every (cell, seed) of a
+# sweep and every crossing cell of the oracle (SolverOptions defaults to 100).
+GRID_MAX_ITERS = 60
 
 
 class NotConverged(DubinsError):
@@ -45,47 +48,16 @@ class CollinearInstance(DubinsError):
         super().__init__(f"collinear start/goal rays ({detail})")
 
 
-@dataclass(frozen=True, slots=True)
-class SingleSeed:
-    """Solve each type from exactly one starting point."""
-
-    h_i: float = 0.0
-    h_f: float = 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class SeedGrid:
-    """Solve each type from an n x n grid of seeds plus the origin.
-
-    window is the half-width of the grid per axis, in the instance's units;
-    None scales it to the instance (`ProblemInstance.span`).
-    """
-
-    n: int = 9
-    window: float | None = None
-
-    def half_width(self, inst: ProblemInstance) -> float:
-        return self.window if self.window is not None else inst.span
-
-
-SeedPolicy = Union[SingleSeed, SeedGrid]
-
-
 @dataclass(frozen=True)
 class SolverOptions:
-    """Solver knobs; residual_tol and dedup_tol are in units of r."""
+    """Solver settings.  seed, in the instance's units, is the one starting
+    point of every type; None seeds each type from `seed_grid`."""
 
-    residual_tol: float = DEFAULT_RESIDUAL_TOL
     max_iters: int = 100
-    seed_policy: SeedPolicy = field(default_factory=SeedGrid)
-    dedup_tol: float = DEFAULT_DEDUP_TOL
     use_gradient: bool = True
+    seed: HPair | None = None
 
     def __post_init__(self) -> None:
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
-        if self.dedup_tol <= 0:
-            raise ValueError("dedup_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -122,15 +94,18 @@ def collinearity(inst: ProblemInstance) -> CollinearInstance | None:
     return CollinearInstance(aligned, d)
 
 
-def _seed_arrays(inst: ProblemInstance, policy: SeedPolicy) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(policy, SingleSeed):
-        return np.array([policy.h_i]), np.array([policy.h_f])
-    w = policy.half_width(inst)
-    vals = np.linspace(-w, w, policy.n)
-    a, b = np.meshgrid(vals, vals, indexing="ij")
+def seed_grid(span: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The multistart seeds over +-span: the origin, then a 9 x 9 grid of
+    np.linspace(-span, span, 9) per axis, h_i major.
+
+    span is a scalar or an (N,) array; returns (h_i, h_f) of shape (82,), or
+    (N, 82) with row n spanning span[n].
+    """
+    vals = np.linspace(-span, span, 9, axis=-1)
+    origin = np.zeros_like(vals[..., :1])
     return (
-        np.concatenate([[0.0], a.ravel()]),
-        np.concatenate([[0.0], b.ravel()]),
+        np.concatenate([origin, np.repeat(vals, 9, axis=-1)], axis=-1),
+        np.concatenate([origin, np.tile(vals, 9)], axis=-1),
     )
 
 
@@ -165,7 +140,9 @@ def solve_type(
     r = inst.radius
     rb = _batch.RayBatch.from_instance(inst, 1)
     seeds = (np.array([seed.h_i / r]), np.array([seed.h_f / r]))
-    res = _batch.newton(rb, stype, *seeds, opts.residual_tol, max_iters=opts.max_iters, use_gradient=opts.use_gradient)
+    res = _batch.newton(
+        rb, stype, *seeds, DEFAULT_RESIDUAL_TOL, max_iters=opts.max_iters, use_gradient=opts.use_gradient
+    )
     if not res.converged[0]:
         raise NotConverged(f"{stype} from seed ({seed.h_i}, {seed.h_f})")
     hp = HPair(float(res.h_i[0]), float(res.h_f[0]))
@@ -211,8 +188,10 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
     if col is not None:
         raise col
     r = inst.radius
-    tol = opts.residual_tol
-    hi0, hf0 = _seed_arrays(inst, opts.seed_policy)
+    if opts.seed is None:
+        hi0, hf0 = seed_grid(inst.span)
+    else:
+        hi0, hf0 = np.array([opts.seed.h_i]), np.array([opts.seed.h_f])
     # element q is type ALL_TYPES[q // k] from seed q % k, in units of r
     k = len(hi0)
     n = len(ALL_TYPES) * k
@@ -222,7 +201,7 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
         _batch.TypeBatch.repeat(ALL_TYPES, k),
         np.tile(hi0 / r, len(ALL_TYPES)),
         np.tile(hf0 / r, len(ALL_TYPES)),
-        tol,
+        DEFAULT_RESIDUAL_TOL,
         max_iters=opts.max_iters,
         use_gradient=opts.use_gradient,
         h_limit=runaway_limit(inst.span / r),
@@ -230,12 +209,12 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
 
     unit = inst.in_radius_units()
     out: list[SolutionCandidate] = []
-    for q in dedup(np.flatnonzero(run.converged), group, run.h_i, run.h_f, run.max_abs(), opts.dedup_tol):
+    for q in dedup(np.flatnonzero(run.converged), group, run.h_i, run.h_f, run.max_abs()):
         stype = ALL_TYPES[group[q]]
         hp = HPair(float(run.h_i[q]), float(run.h_f[q]))
         res, geo = residuals(unit, stype, hp)
         # re-verified through the scalar path; drop anything that drifted
-        if res.max_abs() <= tol:
+        if res.max_abs() <= DEFAULT_RESIDUAL_TOL:
             seed = HPair(float(hi0[q % k]), float(hf0[q % k]))
             out.append(_candidate(r, stype, hp, res, geo, int(run.iterations[q]), seed))
     out.sort(key=lambda c: (c.type_id, c.hp.h_i, c.hp.h_f))

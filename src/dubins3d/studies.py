@@ -3,7 +3,8 @@
 All studies run the damped-Newton machinery in cross-problem batches so full
 sweeps stay fast: a sweep solves each type in one batch of every (cell, seed)
 pair and merges each cell's roots with `solver.dedup` (smallest residual
-wins), the gradient study one element per random case.  All are
+wins), the gradient study one element per random case.  A robust sweep seeds
+each cell with `solver.seed_grid`, the seeds `solve_all` uses.  All are
 deterministic for fixed inputs.  Sweeps and the gradient study are defined
 in units of the turn radius (r = 1); the seed study takes a scenario's own
 radius and reports seeds and roots in its units.
@@ -20,7 +21,7 @@ from .batch import RayBatch, directionally_valid, eval_ahead, newton
 from .geom import EPS_ZERO
 from .residual import ALL_TYPES, SolutionType
 from .scenarios import Scenario
-from .solver import DEFAULT_RESIDUAL_TOL, dedup, runaway_limit
+from .solver import DEFAULT_RESIDUAL_TOL, GRID_MAX_ITERS, dedup, runaway_limit, seed_grid
 
 SWEEP_MODES = ("planar", "nonplanar")
 # Swept axis ranges: positions on [-6, 6] (inclusive, symmetric about 0) and
@@ -106,7 +107,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Count directionally valid roots for every cell of the slice.
 
     Each cell is solved from the single seed (0, 0), or with robust_seeds
-    from (0, 0) followed by a 9 x 9 grid of seeds spanning its own scale.
+    from `solver.seed_grid` over its own span, the seeds `solve_all` gives
+    the cell's instance.
     Per type, one Newton batch runs every (cell, seed) pair; `dedup` with
     group = cell merges each cell's roots (smallest residual wins), and the
     survivors are tested for direction in one more batch.  Collinear cells
@@ -136,19 +138,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     straight_ok = collinear & (goal_dir[2] > 0) & (z >= -EPS_ZERO)
 
     span = np.sqrt(x * x + z * z) + 4.0  # ProblemInstance.span at r = 1
-    # seeds as fractions of the span: (0, 0), then with robust_seeds a 9 x 9 grid
-    grid = np.linspace(-1.0, 1.0, 9 if spec.robust_seeds else 0)
-    frac_i, frac_f = (np.concatenate([[0.0], f.ravel()]) for f in np.meshgrid(grid, grid, indexing="ij"))
-    k = frac_i.size
+    # seeds (0, 0), or with robust_seeds the solver's grid over each cell's span
+    hi0, hf0 = seed_grid(span) if spec.robust_seeds else (np.zeros((n, 1)), np.zeros((n, 1)))
+    k = hi0.shape[1]
     cell = np.repeat(np.arange(n), k)  # element q solves cell q // k from seed q % k
     tiled = rb if k == 1 else rb.take(cell)
-    hi0 = np.tile(frac_i, n) * span[cell]
-    hf0 = np.tile(frac_f, n) * span[cell]
+    hi0, hf0 = hi0.ravel(), hf0.ravel()
     h_limit = runaway_limit(float(span.max()))
 
     counts = {False: np.zeros(n, np.int64), True: np.zeros(n, np.int64)}
     for stype in ALL_TYPES:
-        res = newton(tiled, stype, hi0, hf0, DEFAULT_RESIDUAL_TOL, max_iters=60, h_limit=h_limit)
+        res = newton(tiled, stype, hi0, hf0, DEFAULT_RESIDUAL_TOL, max_iters=GRID_MAX_ITERS, h_limit=h_limit)
         kept = dedup(np.flatnonzero(res.converged), cell, res.h_i, res.h_f, res.max_abs())
         ahead = eval_ahead(tiled.take(kept), stype, res.h_i[kept], res.h_f[kept])
         np.add.at(counts[stype.switched], cell[kept[directionally_valid(stype, ahead)]], 1)
@@ -203,7 +203,7 @@ def run_seed_study(
     for tid in type_ids:
         stype = SolutionType.from_id(tid)
         res = newton(
-            rb, stype, hi0 / r, hf0 / r, opts.residual_tol, max_iters=opts.max_iters, use_gradient=opts.use_gradient
+            rb, stype, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, max_iters=opts.max_iters, use_gradient=opts.use_gradient
         )
         root_hi, root_hf = res.h_i * r, res.h_f * r
         for q in range(hi0.size):

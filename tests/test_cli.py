@@ -6,8 +6,8 @@ import pytest
 from dubins3d.cli import main
 from dubins3d.path import extract_path, verify_path
 from dubins3d.residual import HPair, SolutionType, residuals
-from dubins3d.scenarios import ReferenceExpectation, load_bundled, save_scenario
-from dubins3d.solver import SolutionCandidate
+from dubins3d.scenarios import ReferenceExpectation, load_bundled, load_scenario, save_scenario
+from dubins3d.solver import SolutionCandidate, SolverOptions
 
 
 def write_scenario(tmp_path: Path, name: str) -> Path:
@@ -221,3 +221,65 @@ def test_fidelity_runs_and_reports(tmp_path, capsys, monkeypatch):
     assert "fidelity: 1 failing checks" in out
     summary = json.loads((tmp_path / "contradicted" / "fidelity_summary.json").read_text())
     assert summary == {"planar_far": {"n_valid": False, "paths_verify": True}}
+
+
+BASE_SCENARIO = {
+    "start": {"position": [0, 0, 0], "direction": [0, 0, 1]},
+    "goal": {"position": [-1, 0, 3], "direction": [0.6, 0, 0.8]},
+}
+# (scenario changes, the key the error names)
+MALFORMED = [
+    ({"options": {"max_iter": 5}}, "options.max_iter"),
+    ({"options": {"seed_policy": {"kind": "grid", "windw": 3.0}}}, "options.seed_policy.windw"),
+    ({"options": {"seed_policy": {"kind": "grid", "n": 9}}}, "options.seed_policy.n"),
+    ({"options": {"seed_policy": {"kind": "single", "h_i": 1.0, "h_g": 2.0}}}, "options.seed_policy.h_g"),
+    ({"options": {"seed_policy": {"kind": "singel"}}}, "options.seed_policy.kind"),
+    ({"options": {"seed_policy": "single"}}, "options.seed_policy"),
+    ({"options": {"seed_policy": {"kind": "single", "h_i": "1"}}}, "options.seed_policy.h_i"),
+    ({"options": {"max_iters": "60"}}, "options.max_iters"),
+    ({"options": {"max_iters": 0}}, "options.max_iters"),
+    ({"options": {"use_gradient": "no"}}, "options.use_gradient"),
+    ({"options": [1]}, "options"),
+    ({"radius": None}, "radius"),
+    ({"radius": "1"}, "radius"),
+    ({"goal": {"position": [None, 0, 3], "direction": [0, 0, 1]}}, "goal.position[0]"),
+]
+SCENARIO_COMMANDS = {
+    "solve": [],
+    "seed-study": ["--type", "1", "--resolution", "2"],
+    "contours": ["--type", "1", "--resolution", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
+@pytest.mark.parametrize("changes, key", MALFORMED, ids=[key for _, key in MALFORMED])
+def test_malformed_scenario_rejected_naming_the_key(tmp_path, capsys, command, changes, key):
+    path = write_raw(tmp_path, "bad", {**BASE_SCENARIO, **changes})
+    code = main([command, str(path), *SCENARIO_COMMANDS[command], "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cannot load scenario") and key in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
+def test_unreadable_scenario_exit_1(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path in (bad, tmp_path / "missing.json"):
+        assert main([command, str(path), *SCENARIO_COMMANDS[command], "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot load scenario")
+
+
+def test_solve_nan_seed_exit_1(tmp_path, capsys):
+    scn = write_scenario(tmp_path, "planar_far")
+    assert main(["solve", str(scn), "--seed", "nan", "nan", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot load scenario")
+
+
+def test_scenario_seed_policy_options(tmp_path):
+    single = {"seed_policy": {"kind": "single", "h_i": -1.8, "h_f": 3.0}, "max_iters": 60, "use_gradient": False}
+    path = write_raw(tmp_path, "single", {**BASE_SCENARIO, "options": single})
+    assert load_scenario(path).options == SolverOptions(max_iters=60, use_gradient=False, seed=HPair(-1.8, 3.0))
+    path = write_raw(tmp_path, "grid", {**BASE_SCENARIO, "options": {"seed_policy": {"kind": "grid"}}})
+    assert load_scenario(path).options == SolverOptions()

@@ -23,8 +23,6 @@ from dubins3d.solver import (
     DEFAULT_DEDUP_TOL,
     DEFAULT_RESIDUAL_TOL,
     NotConverged,
-    SeedGrid,
-    SingleSeed,
     SolverOptions,
     dedup,
     solve_all,
@@ -117,7 +115,7 @@ def test_seed_sensitivity_type6_roots():
 def _refine_per_cell(inst, cmap):
     """Scalar reference for refine_roots: one solve_type per intersection
     cell, seeded at its centre, kept when inside the window and first seen."""
-    opts = SolverOptions(max_iters=60, seed_policy=SingleSeed())
+    opts = SolverOptions(max_iters=60, seed=HPair(0.0, 0.0))
     roots = []
     for i, j in cmap.intersection_cells():
         seed = HPair(
@@ -173,7 +171,7 @@ def test_resolution_refinement_keeps_roots():
 
 def test_agreement_with_solver_on_random_instances():
     rng = np.random.default_rng(21)
-    opts = SolverOptions(seed_policy=SeedGrid())
+    opts = SolverOptions(seed=None)
     for _ in range(6):
         inst = random_noncollinear(rng)
         win = GridWindow.for_instance(inst)

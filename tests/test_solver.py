@@ -7,16 +7,16 @@ from dubins3d.path import check_directionality
 from dubins3d.residual import ALL_TYPES, HPair, SolutionType, residuals
 from dubins3d.scenarios import load_bundled
 from dubins3d.solver import (
+    DEFAULT_DEDUP_TOL,
+    DEFAULT_RESIDUAL_TOL,
     CollinearInstance,
     NotConverged,
-    SeedGrid,
-    SingleSeed,
     SolverOptions,
     _candidate,
-    _seed_arrays,
     collinearity,
     dedup,
     runaway_limit,
+    seed_grid,
     solve_all,
     solve_type,
 )
@@ -88,7 +88,7 @@ def test_candidates_reverify_from_scratch():
         inst = load_bundled(name).instance
         for cand in solve_all(inst, opts):
             res, _ = residuals(inst, cand.stype, cand.hp)
-            assert res.max_abs() <= opts.residual_tol * inst.radius
+            assert res.max_abs() <= DEFAULT_RESIDUAL_TOL * inst.radius
 
 
 def test_solve_all_deterministic():
@@ -102,8 +102,8 @@ def test_solve_all_deterministic():
 def test_grid_seeds_find_at_least_single_seed_roots():
     for name in ("planar_far", "planar_close", "nonplanar_close_2"):
         inst = load_bundled(name).instance
-        single = solve_all(inst, SolverOptions(seed_policy=SingleSeed()))
-        grid = solve_all(inst, SolverOptions(seed_policy=SeedGrid()))
+        single = solve_all(inst, SolverOptions(seed=HPair(0.0, 0.0)))
+        grid = solve_all(inst, SolverOptions(seed=None))
         n_single = len([c for c in single if check_directionality(c).valid])
         n_grid = len([c for c in grid if check_directionality(c).valid])
         assert n_grid >= n_single
@@ -170,22 +170,20 @@ def test_collinear_detection():
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        SolverOptions(residual_tol=-1.0)
-    with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverOptions(dedup_tol=0.0)
-    assert SolverOptions().residual_tol == 1e-9
 
 
 def solve_all_per_type(inst, opts):
     """solve_all with one Newton batch per type, the runs concatenated
     type-major before the merge: the layout the fused batch replaced."""
     r = inst.radius
-    hi0, hf0 = _seed_arrays(inst, opts.seed_policy)
+    if opts.seed is None:
+        hi0, hf0 = seed_grid(inst.span)
+    else:
+        hi0, hf0 = np.array([opts.seed.h_i]), np.array([opts.seed.h_f])
     rb = RayBatch.from_instance(inst, len(hi0))
     kw = dict(max_iters=opts.max_iters, use_gradient=opts.use_gradient, h_limit=runaway_limit(inst.span / r))
-    runs = [newton(rb, t, hi0 / r, hf0 / r, opts.residual_tol, **kw) for t in ALL_TYPES]
+    runs = [newton(rb, t, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, **kw) for t in ALL_TYPES]
     k = len(hi0)
     group = np.repeat(np.arange(len(ALL_TYPES)), k)
     h_i = np.concatenate([run.h_i for run in runs])
@@ -195,11 +193,11 @@ def solve_all_per_type(inst, opts):
     converged = np.concatenate([run.converged for run in runs])
     unit = inst.in_radius_units()
     out = []
-    for q in dedup(np.flatnonzero(converged), group, h_i, h_f, resid, opts.dedup_tol):
+    for q in dedup(np.flatnonzero(converged), group, h_i, h_f, resid, DEFAULT_DEDUP_TOL):
         stype = ALL_TYPES[group[q]]
         hp = HPair(float(h_i[q]), float(h_f[q]))
         res, geo = residuals(unit, stype, hp)
-        if res.max_abs() <= opts.residual_tol:
+        if res.max_abs() <= DEFAULT_RESIDUAL_TOL:
             seed = HPair(float(hi0[q % k]), float(hf0[q % k]))
             out.append(_candidate(r, stype, hp, res, geo, int(iterations[q]), seed))
     out.sort(key=lambda c: (c.type_id, c.hp.h_i, c.hp.h_f))
@@ -213,7 +211,7 @@ def test_fused_solve_all_equals_per_type_batches():
         for _ in range(3):
             xf = rng.uniform(-6, 6, 3) * r
             cases.append(instance((0, 0, 0), tuple(rng.normal(size=3)), tuple(xf), tuple(rng.normal(size=3)), r))
-    options = (SolverOptions(), SolverOptions(use_gradient=False), SolverOptions(seed_policy=SingleSeed()))
+    options = (SolverOptions(), SolverOptions(use_gradient=False), SolverOptions(seed=HPair(0.0, 0.0)))
     roots = 0
     for inst in cases:
         for opts in options:

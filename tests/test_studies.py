@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dubins3d import batch, studies
 from dubins3d.geom import instance
 from dubins3d.path import check_directionality
 from dubins3d.scenarios import Scenario, load_bundled
@@ -105,6 +106,36 @@ def test_robust_sweep_counts_equal_solve_all_per_cell(mode, fixed):
             assert result.counts[i, j] == len(valid)
             assert result.counts_regular[i, j] == sum(not c.stype.switched for c in valid)
             assert result.counts_switched[i, j] == sum(c.stype.switched for c in valid)
+
+
+@pytest.mark.parametrize("mode, fixed", [("planar", ("z", -1.5)), ("nonplanar", ("angle", 2.0))])
+def test_robust_sweep_seeds_are_the_solver_grid_per_cell(mode, fixed, monkeypatch):
+    seeds = []
+    newton = batch.newton
+
+    def record(rb, stype, h_i, h_f, *args, **kwargs):
+        seeds.append((h_i.copy(), h_f.copy()))
+        return newton(rb, stype, h_i, h_f, *args, **kwargs)
+
+    monkeypatch.setattr(studies, "newton", record)
+    result = run_sweep(SweepSpec(mode, fixed, steps=5, robust_seeds=True))
+    sweep_hi, sweep_hf = seeds[0]
+    k = sweep_hi.size // 25
+    monkeypatch.setattr(batch, "newton", record)  # the one solve_all calls
+    names = result.axis_names
+    for i, a in enumerate(result.axis_a):
+        for j, b in enumerate(result.axis_b):
+            if result.collinear[i, j]:
+                continue  # solve_all raises CollinearInstance before seeding
+            v = {fixed[0]: fixed[1], names[0]: float(a), names[1]: float(b)}
+            theta = v["angle"]
+            goal_dir = (-math.sin(theta), 0.0, math.cos(theta)) if mode == "planar" else (math.cos(theta), math.sin(theta), 0.0)
+            seeds.clear()
+            solve_all(instance((0, 0, 0), (0, 0, 1), (v["x"], 0.0, v["z"]), goal_dir))
+            solver_hi, solver_hf = seeds[0]
+            cell = slice((i * 5 + j) * k, (i * 5 + j + 1) * k)
+            assert sweep_hi[cell].tobytes() == solver_hi[:k].tobytes()
+            assert sweep_hf[cell].tobytes() == solver_hf[:k].tobytes()
 
 
 def test_seed_study_maps_seed_to_root():
