@@ -1,19 +1,23 @@
 """Vectorized evaluation and damped-Newton iteration over element batches.
 
-A batch couples per-element problem data (start/goal rays, each component a
-scalar or an (N,) array) and per-element solution types (the three signs of
-`SolutionType`, each a scalar or an (N,) array) with per-element offsets, so
-the same machinery serves every workload: all types from many seeds on one
-problem (multistart), seeds on many problems at once (parameter sweeps), and
-grid refinement of every type's cells.  Singular evaluations yield NaN and
-the owning element is dropped rather than patched; `newton` pads what is left
-with copies of live elements to a few fixed sizes.  A batch holds instances
-scaled to unit radius, so offsets, residuals, tolerances and floors here are
-all in units of r.
+One kernel serves all types from many seeds on one problem (multistart),
+seeds on many problems at once (sweeps) and the oracle's grid fields, on
+instances scaled to unit radius: every length here is in units of r.
 
-The formulas duplicate the scalar reference in `residual`; the test suite
-pins the two implementations against each other, and every root `solve_all`
-accepts is re-verified through the scalar path.
+The tangency system depends on a start/goal pair only through rigid-motion
+invariants: with D = x_f - x_i, a = D.v_i, b = D.v_f, c = v_i.v_f and the
+components of u_i = D x v_i, u_f = D x v_f and e = v_f x v_i.  At offsets
+(h_i, h_f) the segment w = D + h_f v_f - h_i v_i has A = w.v_i =
+a + c h_f - h_i, B = w.v_f = b - c h_i + h_f, Q_i = |w x v_i|^2 =
+|u_i + h_f e|^2, Q_f = |w x v_f|^2 = |u_f + h_i e|^2 and length
+d = sqrt(Q_i + A^2).  A type's residuals are p_i = h_i + s_i T_i and
+p_f = h_f + s_f T_f, with T_i = tan(phi_i / 2) = (d - sigma A)/sqrt(Q_i),
+formed as sqrt(Q_i)/(d + sigma A) where sigma A > 0 so nothing cancels, and
+T_f the same in B and Q_f; sigma is the type's direction.  The geometric
+formulas stay in `residual`, the independent reference the tests pin this
+kernel against and through which `solve_all` re-verifies its roots.
+Singular evaluations (d <= EPS_SING, or sqrt(Q) <= EPS_SING d at either
+end) yield NaN and the owning element is dropped.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import EPS_ZERO, ProblemInstance
-from .residual import EPS_SING, SolutionType
+from .residual import ALL_TYPES, EPS_SING, SolutionType
 
 # Step control: halve the Newton step until the residual norm decreases, at
 # most this many times, then give up on the element.
@@ -37,105 +41,129 @@ PLATEAU_FACTOR = 0.99
 # multiples of PAD_STEP (see _pad).
 PAD_STEP = 16
 
-Components = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-
-def _as_components(v, n: int) -> Components:
-    arrs = tuple(np.broadcast_to(np.asarray(c, float), (n,)) for c in v)
-    return arrs  # type: ignore[return-value]
-
-
-@dataclass
+@dataclass(frozen=True)
 class RayBatch:
-    """Per-element problem data as component arrays of a common length."""
+    """Per-instance invariants (a, b, c, u_i, u_f, e; see the module
+    docstring): 12 floats for one instance that every element shares (row
+    is None), or a (12, m) array for m instances, with row the (N,) instance
+    of every element, which take() alone indexes."""
 
-    xi: Components
-    vi: Components
-    xf: Components
-    vf: Components
+    inv: tuple[float, ...] | np.ndarray
+    row: np.ndarray | None
+    size: int
 
     @classmethod
     def build(cls, xi, vi, xf, vf, n: int) -> "RayBatch":
-        return cls(_as_components(xi, n), _as_components(vi, n), _as_components(xf, n), _as_components(vf, n))
+        """n elements from rays given by components, each a float or an
+        (n,) array; element q is its own instance unless every component is
+        a float."""
+        dot = lambda u, v: u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+        cross = lambda u, v: (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        dx = (xf[0] - xi[0], xf[1] - xi[1], xf[2] - xi[2])
+        inv = (dot(dx, vi), dot(dx, vf), dot(vi, vf), *cross(dx, vi), *cross(dx, vf), *cross(vf, vi))
+        if all(np.ndim(v) == 0 for v in inv):
+            return cls(tuple(float(v) for v in inv), None, n)
+        return cls(np.stack(np.broadcast_arrays(*(np.asarray(v, float) for v in inv))), np.arange(n), n)
 
     @classmethod
     def from_instance(cls, inst: ProblemInstance, n: int) -> "RayBatch":
-        """One problem instance, scaled to unit radius, broadcast to n
-        elements."""
+        """One problem instance, scaled to unit radius, shared by n elements."""
         u = inst.in_radius_units()
         rays = (u.start.position, u.start.direction, u.goal.position, u.goal.direction)
         return cls.build(*(v.as_tuple() for v in rays), n)
 
     def take(self, sel: np.ndarray) -> "RayBatch":
-        pick = lambda v: tuple(c[sel] for c in v)
-        return RayBatch(pick(self.xi), pick(self.vi), pick(self.xf), pick(self.vf))
+        """The elements at the indices sel."""
+        return RayBatch(self.inv, None if self.row is None else self.row[sel], len(sel))
+
+    def per_element(self, start: int, stop: int):
+        """Invariants start to stop - 1 of every element: floats, or a
+        (stop - start, N) array gathered by row."""
+        return self.inv[start:stop] if self.row is None else np.take(self.inv[start:stop], self.row, axis=1)
 
     def __len__(self) -> int:
-        return self.xi[0].shape[0]
+        return self.size
 
 
-@dataclass
+# direction, start_sign and end_sign of every type, by type_id - 1
+_SIGNS = np.array([(t.direction, t.start_sign, t.end_sign) for t in ALL_TYPES]).T
+
+
+@dataclass(frozen=True)
 class TypeBatch:
-    """Per-element solution types as (N,) arrays of their three signs:
-    direction (-1.0 where switched), start_sign and end_sign.
-
-    The evaluations below read a type only through these three attributes,
-    which a `SolutionType` has as scalars, so they take one type for every
-    element (numpy broadcasts it) or a TypeBatch alike.
+    """Per-element solution types as (N,) int8 codes, type_id - 1.  The
+    evaluations read a type only through direction (-1.0 where switched),
+    start_sign and end_sign: scalars on a `SolutionType`, (N,) arrays here.
     """
 
-    direction: np.ndarray
-    start_sign: np.ndarray
-    end_sign: np.ndarray
+    code: np.ndarray
+
+    direction = property(lambda self: _SIGNS[0][self.code])
+    start_sign = property(lambda self: _SIGNS[1][self.code])
+    end_sign = property(lambda self: _SIGNS[2][self.code])
 
     @classmethod
-    def build(cls, stype: "SolutionType | TypeBatch", n: int) -> "TypeBatch":
-        """stype's signs broadcast to n elements."""
-        signs = (stype.direction, stype.start_sign, stype.end_sign)
-        return cls(*(np.broadcast_to(np.asarray(c, float), (n,)) for c in signs))
+    def build(cls, stype: SolutionType, n: int) -> "TypeBatch":
+        """stype for each of n elements."""
+        return cls(np.full(n, stype.type_id - 1, np.int8))
 
     @classmethod
     def repeat(cls, stypes: Sequence[SolutionType], counts) -> "TypeBatch":
         """Type-major blocks: stypes[t] for counts[t] elements, or for counts
         elements each when it is an int."""
-        signs = ([t.direction for t in stypes], [t.start_sign for t in stypes], [t.end_sign for t in stypes])
-        return cls(*(np.repeat(np.asarray(c, float), counts) for c in signs))
+        return cls(np.repeat(np.array([t.type_id - 1 for t in stypes], np.int8), counts))
 
     def take(self, sel: np.ndarray) -> "TypeBatch":
-        return TypeBatch(self.direction[sel], self.start_sign[sel], self.end_sign[sel])
+        return TypeBatch(self.code[sel])
 
 
-def _geometry(batch: RayBatch, stype: SolutionType | TypeBatch, hi: np.ndarray, hf: np.ndarray):
-    """Geometry shared by the residuals and the directional test.
+def _take_types(stype: SolutionType | TypeBatch, sel: np.ndarray) -> SolutionType | TypeBatch:
+    return stype.take(sel) if isinstance(stype, TypeBatch) else stype
 
-    Returns (pt_i, pt_f, d, g, ends, bad): the offset points, their distance
-    d, the segment direction g = (pt_f - pt_i) / d (reversed for switched
-    types), per end the tuple (v x g, |v x g|, g . v), and the mask of
-    singular elements, whose d and cross norms are set to 1.  At Newton batch sizes it does not matter which
-    parts a caller keeps: holding the whole tuple and dropping the offset
-    points early both cost about 1 minor page fault per `solve_all` (656
-    elements) and 2 per robust 3 x 3 sweep (738 per batch), with peak RSS
-    within 0.15 MB.  On large grids keep only what is used, as
-    `oracle.sample_contours` does.
+
+def _sq_norm(u, e, h):
+    """|u + h e|^2 as the sum of its squared components."""
+    x, y, z = u[0] + h * e[0], u[1] + h * e[1], u[2] + h * e[2]
+    return x * x + y * y + z * z
+
+
+def frame(batch: RayBatch, hi, hf):
+    """(A, B, c, d, Q_i, Q_f, sqrt(Q_i), sqrt(Q_f)) at the offsets, d NaN
+    where the geometry is singular, so all formed from it is NaN there with
+    no division by zero.  Q_i is formed per h_f and Q_f per h_i, so a column
+    of h_i and a row of h_f give them per node and the rest per grid point.
     """
-    xi, vi, xf, vf = batch.xi, batch.vi, batch.xf, batch.vf
-    pt_i = (xi[0] + hi * vi[0], xi[1] + hi * vi[1], xi[2] + hi * vi[2])
-    pt_f = (xf[0] + hf * vf[0], xf[1] + hf * vf[1], xf[2] + hf * vf[2])
-    w = (pt_f[0] - pt_i[0], pt_f[1] - pt_i[1], pt_f[2] - pt_i[2])
-    d = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-    bad = d <= EPS_SING
-    d = np.where(bad, 1.0, d)
-    sgn = stype.direction
-    g = (sgn * w[0] / d, sgn * w[1] / d, sgn * w[2] / d)
-    ends = []
-    for v in (vi, vf):
-        cx = (v[1] * g[2] - v[2] * g[1], v[2] * g[0] - v[0] * g[2], v[0] * g[1] - v[1] * g[0])
-        n = np.sqrt(cx[0] * cx[0] + cx[1] * cx[1] + cx[2] * cx[2])
-        bad = bad | (n <= EPS_SING)
-        n = np.where(n <= EPS_SING, 1.0, n)
-        gv = g[0] * v[0] + g[1] * v[1] + g[2] * v[2]
-        ends.append((cx, n, gv))
-    return pt_i, pt_f, d, g, ends, bad
+    e = batch.per_element(9, 12)
+    q_i = _sq_norm(batch.per_element(3, 6), e, hf)
+    q_f = _sq_norm(batch.per_element(6, 9), e, hi)
+    # c on its own: a view of a, b, c would keep all three gathered
+    (a, b), (c,) = batch.per_element(0, 2), batch.per_element(2, 3)
+    # B mirrors A, so reversing the path (ends swapped, directions negated)
+    # swaps A and B exactly
+    A = a + c * hf - hi
+    B = b - c * hi + hf
+    d = np.sqrt(q_i + A * A)
+    r_i, r_f = np.sqrt(q_i), np.sqrt(q_f)
+    floor = EPS_SING * d
+    d = np.where((d <= EPS_SING) | (r_i <= floor) | (r_f <= floor), np.nan, d)
+    return A, B, c, d, q_i, q_f, r_i, r_f
+
+
+def half_angles(lin, d, r):
+    """(P, 1/P) with P = (d + |lin|)/r, each formed by one division: tan of
+    the half turn at one end is P where sigma lin <= 0, else 1/P."""
+    big = d + np.abs(lin)
+    return big / r, r / big
+
+
+def _tangents(batch: RayBatch, stype: SolutionType | TypeBatch, hi, hf):
+    """frame()'s values, then the type's direction and its T_i and T_f."""
+    A, B, c, d, q_i, q_f, r_i, r_f = frame(batch, hi, hf)
+    sig = stype.direction
+    t_i = np.where(sig * A <= 0.0, *half_angles(A, d, r_i))
+    t_f = np.where(sig * B <= 0.0, *half_angles(B, d, r_f))
+    return A, B, c, d, q_i, q_f, r_i, r_f, sig, t_i, t_f
 
 
 def eval_residuals(
@@ -146,60 +174,31 @@ def eval_residuals(
     Returns (p_i, p_f, J) with NaN where the geometry is singular; J is None
     unless requested, else the tuple (dpi_dhi, dpi_dhf, dpf_dhi, dpf_dhf).
     """
-    vi, vf = batch.vi, batch.vf
-    _, _, d, (gx, gy, gz), ends, bad = _geometry(batch, stype, hi, hf)
-    (_, n_i, gv_i), (_, n_f, gv_f) = ends
-    p_i = np.where(bad, np.nan, hi + stype.start_sign * (1.0 / n_i) * (1.0 - gv_i))
-    p_f = np.where(bad, np.nan, hf + stype.end_sign * (1.0 / n_f) * (1.0 - gv_f))
+    A, B, c, d, q_i, q_f, r_i, r_f, sig, t_i, t_f = _tangents(batch, stype, hi, hf)
+    s_i, s_f = stype.start_sign, stype.end_sign
+    p_i = hi + s_i * t_i
+    p_f = hf + s_f * t_f
     if not jac:
         return p_i, p_f, None
-
-    # direction derivatives a_i, a_f, reversed for switched types
-    sgn = stype.direction
-    hvi = gv_i * sgn  # hdir . v_i
-    hvf = gv_f * sgn
-    hx, hy, hz = sgn * gx, sgn * gy, sgn * gz
-    bix = sgn * (hx * hvi - vi[0]) / d
-    biy = sgn * (hy * hvi - vi[1]) / d
-    biz = sgn * (hz * hvi - vi[2]) / d
-    bfx = sgn * (vf[0] - hx * hvf) / d
-    bfy = sgn * (vf[1] - hy * hvf) / d
-    bfz = sgn * (vf[2] - hz * hvf) / d
-
-    entries = []
-    for (v, sign), ((cxx, cxy, cxz), n, gv) in zip(((vi, stype.start_sign), (vf, stype.end_sign)), ends):
-        for bx, by, bz in ((bix, biy, biz), (bfx, bfy, bfz)):
-            exx = v[1] * bz - v[2] * by
-            exy = v[2] * bx - v[0] * bz
-            exz = v[0] * by - v[1] * bx
-            dot_cb = cxx * exx + cxy * exy + cxz * exz
-            bv = bx * v[0] + by * v[1] + bz * v[2]
-            entries.append(sign * (-bv / n - (1.0 - gv) * dot_cb / (n * n * n)))
+    # d'(h_i) = -A/d, d'(h_f) = B/d; Q_i'(h_f) = 2 (B - A c), Q_f'(h_i) = 2 (B c - A)
+    sc = sig * c
     J = (
-        np.where(bad, np.nan, entries[0] + 1.0),
-        np.where(bad, np.nan, entries[1]),
-        np.where(bad, np.nan, entries[2]),
-        np.where(bad, np.nan, entries[3] + 1.0),
+        1.0 + s_i * sig * t_i / d,
+        s_i * ((B / d - sc) / r_i - t_i * (B - A * c) / q_i),
+        s_f * ((sc - A / d) / r_f - t_f * (B * c - A) / q_f),
+        1.0 - s_f * sig * t_f / d,
     )
     return p_i, p_f, J
 
 
 def eval_ahead(batch: RayBatch, stype: SolutionType | TypeBatch, hi: np.ndarray, hf: np.ndarray) -> np.ndarray:
-    """Signed separation (c_f - c_i) . hdir used by directional validity.
+    """Signed separation (c_f - c_i) . hdir used by directional validity:
+    d + sigma (s_i T_i - s_f T_f), at any offsets.
 
     NaN where the geometry is singular.
     """
-    vi, vf = batch.vi, batch.vf
-    pt_i, pt_f, _, g, ends, bad = _geometry(batch, stype, hi, hf)
-    sgn = stype.direction
-    h = (sgn * g[0], sgn * g[1], sgn * g[2])
-    centers = []
-    for v, off, sign, (_, n, _) in zip((vi, vf), (pt_i, pt_f), (stype.start_sign, stype.end_sign), ends):
-        scale = sign / n
-        centers.append(tuple(off[k] + scale * (v[k] - g[k]) for k in range(3)))
-    c_i, c_f = centers
-    ahead = sum((c_f[k] - c_i[k]) * h[k] for k in range(3))
-    return np.where(bad, np.nan, ahead)
+    A, B, c, d, q_i, q_f, r_i, r_f, sig, t_i, t_f = _tangents(batch, stype, hi, hf)
+    return d + sig * (stype.start_sign * t_i - stype.end_sign * t_f)
 
 
 def directionally_valid(stype: SolutionType | TypeBatch, ahead: np.ndarray) -> np.ndarray:
@@ -243,6 +242,35 @@ def _pad(pos: np.ndarray, cap: int) -> np.ndarray:
     return pos if size == m else np.concatenate((pos, pos[: size - m]))
 
 
+def _line_search(batch, stype, hi, hf, p_i, p_f, fn, dhi, dhf, live):
+    """Halve the steps of the first `live` elements until the residual norm
+    drops below fn, at most MAX_HALVINGS times; returns where a step was
+    accepted, and writes accepted steps into hi, hf, p_i, p_f and fn (all
+    pending elements share one step length)."""
+    accepted = np.zeros(hi.size, bool)
+    pend = np.arange(live)
+    lam = 1.0
+    for _ in range(MAX_HALVINGS):
+        if pend.size == 0:
+            break
+        at = _pad(pend, hi.size)
+        thi = hi[at] + lam * dhi[at]
+        thf = hf[at] + lam * dhf[at]
+        tpi, tpf, _ = eval_residuals(batch.take(at), _take_types(stype, at), thi, thf)
+        tfn = np.hypot(tpi, tpf)
+        good = np.isfinite(tfn) & (tfn < fn[at])
+        sel = at[good]
+        hi[sel] = thi[good]
+        hf[sel] = thf[good]
+        p_i[sel] = tpi[good]
+        p_f[sel] = tpf[good]
+        fn[sel] = tfn[good]
+        accepted[sel] = True
+        pend = pend[~good[: pend.size]]
+        lam *= 0.5
+    return accepted
+
+
 @dataclass
 class NewtonResult:
     h_i: np.ndarray
@@ -280,11 +308,9 @@ def newton(
     the same output slot as its original.
     """
     n_total = len(hi0)
-    hi = np.asarray(hi0, float).copy()
-    hf = np.asarray(hf0, float).copy()
     out = NewtonResult(
-        h_i=hi.copy(),
-        h_f=hf.copy(),
+        h_i=np.array(hi0, float),
+        h_f=np.array(hf0, float),
         p_i=np.full(n_total, np.nan),
         p_f=np.full(n_total, np.nan),
         converged=np.zeros(n_total, bool),
@@ -292,8 +318,9 @@ def newton(
     )
     # positions [0, live) hold distinct elements, the rest copies of them
     idx, live = np.arange(n_total), n_total
-    cur, types = batch, TypeBatch.build(stype, n_total)
-    chi, chf = hi, hf
+    # the first shrink replaces chi and chf by copies before anything writes
+    cur, types = batch, stype
+    chi, chf = out.h_i, out.h_f
     cpi, cpf, _ = eval_residuals(cur, types, chi, chf)
     cfn = np.hypot(cpi, cpf)
     alive = np.isfinite(cfn)
@@ -308,7 +335,7 @@ def newton(
         sel = _pad(sel, idx.size)
         idx = idx[sel]
         cur = cur.take(sel)
-        types = types.take(sel)
+        types = _take_types(types, sel)
         chi = chi[sel]
         chf = chf[sel]
         cpi = cpi[sel]
@@ -336,10 +363,9 @@ def newton(
         if k == max_iters:
             break
         if use_gradient:
-            _, _, J = eval_residuals(cur, types, chi, chf, jac=True)
+            jii, jif, jfi, jff = eval_residuals(cur, types, chi, chf, jac=True)[2]
         else:
-            J = eval_fd_jacobian(cur, types, chi, chf)
-        jii, jif, jfi, jff = J
+            jii, jif, jfi, jff = eval_fd_jacobian(cur, types, chi, chf)
         det = jii * jff - jif * jfi
         ok = np.isfinite(det) & (np.abs(det) > 1e-14)
         if not ok.all():
@@ -349,37 +375,14 @@ def newton(
             jii, jif, jfi, jff, det = (a[sel] for a in (jii, jif, jfi, jff, det))
         dhi = (-cpi * jff + cpf * jif) / det
         dhf = (-cpf * jii + cpi * jfi) / det
-
-        lam = np.ones(idx.size)
-        accepted = np.zeros(idx.size, bool)
-        nhi, nhf = chi.copy(), chf.copy()
-        npi, npf, nfn = cpi.copy(), cpf.copy(), cfn.copy()
-        pend = np.arange(live)
-        for _ in range(MAX_HALVINGS):
-            if pend.size == 0:
-                break
-            at = _pad(pend, idx.size)
-            thi = chi[at] + lam[at] * dhi[at]
-            thf = chf[at] + lam[at] * dhf[at]
-            tpi, tpf, _ = eval_residuals(cur.take(at), types.take(at), thi, thf)
-            tfn = np.hypot(tpi, tpf)
-            good = np.isfinite(tfn) & (tfn < cfn[at])
-            sel = at[good]
-            nhi[sel] = thi[good]
-            nhf[sel] = thf[good]
-            npi[sel] = tpi[good]
-            npf[sel] = tpf[good]
-            nfn[sel] = tfn[good]
-            accepted[sel] = True
-            pend = pend[~good[: pend.size]]
-            lam[pend] *= 0.5
-        keep = accepted
+        del jii, jif, jfi, jff, det
+        # updated in place: shrink() made these arrays, and nothing else holds them
+        keep = _line_search(cur, types, chi, chf, cpi, cpf, cfn, dhi, dhf, live)
         if len(hist) >= PLATEAU_WINDOW:
             # never plateau-kill an element that just crossed the tolerance
-            near = np.fmax(np.abs(npi), np.abs(npf)) <= tol
-            keep = keep & ((nfn <= PLATEAU_FACTOR * hist[-PLATEAU_WINDOW]) | near)
-        keep = keep & (np.abs(nhi) <= h_limit) & (np.abs(nhf) <= h_limit)
-        chi, chf, cpi, cpf, cfn = nhi, nhf, npi, npf, nfn
+            near = np.fmax(np.abs(cpi), np.abs(cpf)) <= tol
+            keep = keep & ((cfn <= PLATEAU_FACTOR * hist[-PLATEAU_WINDOW]) | near)
+        keep = keep & (np.abs(chi) <= h_limit) & (np.abs(chf) <= h_limit)
         hist = (hist + [cfn])[-PLATEAU_WINDOW:]
         shrink(keep)
     return out

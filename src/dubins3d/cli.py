@@ -253,18 +253,11 @@ def cmd_contours(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     type_ids = tuple(args.type) if args.type else tuple(range(1, 9))
     for cmap in sample_contours(inst, window, map(SolutionType.from_id, type_ids)):
-        rows = []
-        for i, a in enumerate(cmap.h_i_nodes):
-            for j, b in enumerate(cmap.h_f_nodes):
-                rows.append(
-                    (
-                        float(a),
-                        float(b),
-                        float(cmap.p_i[i, j]),
-                        float(cmap.p_f[i, j]),
-                        int(cmap.singular[i, j]),
-                    )
-                )
+        rows = [
+            (float(a), float(b), float(cmap.p_i[i, j]), float(cmap.p_f[i, j]), int(cmap.singular[i, j]))
+            for i, a in enumerate(cmap.h_i_nodes)
+            for j, b in enumerate(cmap.h_f_nodes)
+        ]
         path = out / f"{scenario.name}_contours_type{cmap.stype.type_id}.csv"
         _write_csv(path, ["h_i", "h_f", "p_i", "p_f", "singular"], rows)
     print(f"wrote contour grids for types {list(type_ids)} to {out}")

@@ -1,12 +1,13 @@
 """Brute-force enumeration of tangency-system roots over an offset window.
 
 Independent of the multistart solver's seeding: the residual fields of all
-requested types are sampled on a dense grid from one geometry pass
-(`sample_contours`), cells where both fields change sign are detected in
-marching-squares fashion, and one Newton batch refines from the centre of
-every such cell of every type.  Used to audit solver completeness and to
-export residual fields for plotting.  As in `solver`, both run in units of the radius;
-windows, fields and roots are in the instance's own units.
+requested types are sampled on a dense grid from one pass of the batch
+kernel's invariants (`sample_contours`), cells where both fields change sign
+are detected in marching-squares fashion, and one Newton batch refines from
+the centre of every such cell of every type.  Used to audit solver
+completeness and to export residual fields for plotting.  As in `solver`,
+both run in units of the radius; windows, fields and roots are in the
+instance's own units.
 """
 
 from __future__ import annotations
@@ -111,41 +112,41 @@ def _cell_crossings(field: np.ndarray) -> np.ndarray:
 def sample_contours(
     inst: ProblemInstance, window: GridWindow, stypes: Iterable[SolutionType] = ALL_TYPES
 ) -> Iterator[ContourMap]:
-    """The contour map of every requested type, from one geometry pass over
-    the window: regular types first, then switched, each family in the
-    requested order.
+    """The contour map of every requested type, from one pass of the
+    batch kernel's invariants over the window: regular types first, then
+    switched, each family in the requested order.
 
-    The h_i nodes form a column and the h_f nodes a row, so the offset
-    points are computed per node and broadcast.  A switched type negates the
-    segment direction g, which flips g . v exactly and keeps |v x g|, so the
-    regular geometry gives all eight types' fields bit for bit.  Each
-    distinct field (per family, one per start sign for p_i and one per end
-    sign for p_f) is formed once, its crossings marked in units of r, then
-    scaled by r; maps of one family share these read-only arrays, and only
-    one family's are held at a time.
+    The h_i nodes form a column and the h_f nodes a row, so A, B and d are
+    formed per grid point, Q_i per h_f node and Q_f per h_i node
+    (`batch.frame`).  A type reads them only through its direction, which
+    picks one of each end's two half-angle tangents, and its signs, so they
+    give all eight types' fields bit for bit as `batch.eval_residuals`
+    does.  Each distinct field (per family, one per start sign for p_i and
+    one per end sign for p_f) is formed once, its crossings marked in units
+    of r, then scaled by r; maps of one family share these read-only
+    arrays, and only one family's are held at a time.
     """
     stypes = tuple(stypes)
     r = inst.radius
     hi_nodes, hf_nodes = window.nodes()
     hi, hf = (hi_nodes / r)[:, None], (hf_nodes / r)[None, :]
-    ends, bad = _batch._geometry(RayBatch.from_instance(inst, 1), ALL_TYPES[0], hi, hf)[-2:]
-    # keep only |v x g| and g . v per end: holding the rest of the geometry
-    # while the fields are formed costs page faults and peak RSS
-    (n_i, gv_i), (n_f, gv_f) = [end[1:] for end in ends]
-    del ends
+    A, B, _, d, _, _, r_i, r_f = _batch.frame(RayBatch.from_instance(inst, 1), hi, hf)
+    # per end, the two candidate half-angle tangents and where A (or B) <= 0
+    # and >= 0, the conditions sigma A <= 0 of the two families
+    ends = {}
+    for end, lin, root in (("i", A, r_i), ("f", B, r_f)):
+        ends[end] = _batch.half_angles(lin, d, root), {False: lin <= 0.0, True: lin >= 0.0}
+    del A, B, d
     for switched in (False, True):
         family = [t for t in stypes if t.switched == switched]
         if not family:
             continue
-        sgn = -1.0 if switched else 1.0
         fields = {}
-        for end, h, n, gv, signs in (
-            ("i", hi, n_i, gv_i, {t.start_sign for t in family}),
-            ("f", hf, n_f, gv_f, {t.end_sign for t in family}),
-        ):
-            q = (1.0 / n) * (1.0 - sgn * gv)
+        for end, h, signs in (("i", hi, {t.start_sign for t in family}), ("f", hf, {t.end_sign for t in family})):
+            tangents, low = ends[end]
+            tan = np.where(low[switched], *tangents)
             for sign in signs:
-                p = np.where(bad, np.nan, h + sign * q)
+                p = h + sign * tan
                 crossings = _cell_crossings(p)
                 p *= r
                 p.flags.writeable = False

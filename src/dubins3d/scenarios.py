@@ -2,11 +2,11 @@
 
 A scenario is a JSON object with start/goal configurations, a turn radius,
 and optional solver option overrides (`max_iters`, `use_gradient` and a
-`seed_policy` of kind "grid" or "single"); an unknown option key or a value
-of the wrong type is a ValueError that names the key.  The package ships a
-set of reference scenarios covering planar/non-planar and near/far cases
-together with their recorded expected outcomes, runnable as one regression
-batch from the CLI.
+`seed_policy` of kind "grid" or "single"); an unknown key or a value of the
+wrong type is a ValueError that names the key.  Saving writes the options
+that differ from the defaults.  The package ships a set of reference
+scenarios covering planar/non-planar and near/far cases together with their
+recorded expected outcomes, runnable as one regression batch from the CLI.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ class Scenario:
 _NUMBER = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
 _POSITIVE = ("a positive number", lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max)
 _ANY = ("anything", lambda v: True)
-# The keys a scenario's "options" object, and each kind of its "seed_policy"
-# object, may hold, with what each value must be; any other key is an error.
+# The keys a scenario (whose values are checked as they are parsed), its
+# "options" and each kind of "seed_policy" may hold; any other is an error.
 _KNOWN_KEYS = {
+    "scenario": {"start": _ANY, "goal": _ANY, "radius": _ANY, "options": _ANY},
     "options": {
         "max_iters": ("a positive integer", lambda v: type(v) is int and v >= 1),
         "use_gradient": ("true or false", lambda v: type(v) is bool),
@@ -106,8 +107,7 @@ def _parse_options(obj: Any) -> SolverOptions:
 def parse_scenario(data: Any, name: str = "scenario") -> Scenario:
     """A scenario from its JSON object; ValueError on malformed input, naming
     the offending key."""
-    if not isinstance(data, dict):
-        raise ValueError("scenario must be a JSON object")
+    _check_fields(data, "scenario", _KNOWN_KEYS["scenario"])
     start = _parse_configuration(data.get("start"), "start")
     goal = _parse_configuration(data.get("goal"), "goal")
     radius = float(_checked(data.get("radius", 1.0), "radius", _POSITIVE))
@@ -125,17 +125,19 @@ def scenario_to_json(scn: Scenario) -> dict:
     def cfg(c: Configuration) -> dict:
         return {"position": list(c.position.as_tuple()), "direction": list(c.direction.as_tuple())}
 
-    return {"start": cfg(scn.instance.start), "goal": cfg(scn.instance.goal), "radius": scn.instance.radius}
+    out = {"start": cfg(scn.instance.start), "goal": cfg(scn.instance.goal), "radius": scn.instance.radius}
+    opts, default = scn.options, SolverOptions()
+    options = {k: getattr(opts, k) for k in ("max_iters", "use_gradient") if getattr(opts, k) != getattr(default, k)}
+    if opts.seed is not None:
+        options["seed_policy"] = {"kind": "single", "h_i": opts.seed.h_i, "h_f": opts.seed.h_f}
+    if options:
+        out["options"] = options
+    return out
 
 
 def save_scenario(scn: Scenario, fh: IO[str]) -> None:
     json.dump(scenario_to_json(scn), fh, indent=2)
     fh.write("\n")
-
-
-def bundled_scenario_names() -> list[str]:
-    files = resources.files("dubins3d").joinpath("data")
-    return sorted(p.name[: -len(".json")] for p in files.iterdir() if p.name.endswith(".json"))
 
 
 def load_bundled(name: str) -> Scenario:

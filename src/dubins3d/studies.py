@@ -1,9 +1,10 @@
 """Solution-space studies: parameter sweeps, seed sensitivity, gradient use.
 
-All studies run the damped-Newton machinery in cross-problem batches so full
-sweeps stay fast: a sweep solves each type in one batch of every (cell, seed)
-pair and merges each cell's roots with `solver.dedup` (smallest residual
-wins), the gradient study one element per random case.  A robust sweep seeds
+Each study runs one Newton batch, type-major (the gradient study one per
+Jacobian mode): a sweep over every (type, cell, seed), merging each cell's
+roots of a type with `solver.dedup` (smallest residual wins), the seed study
+over every (type, seed) and the gradient study over every (type, case); the
+elements of a cell or case index its invariants.  A robust sweep seeds
 each cell with `solver.seed_grid`, the seeds `solve_all` uses.  All are
 deterministic for fixed inputs.  Sweeps and the gradient study are defined
 in units of the turn radius (r = 1); the seed study takes a scenario's own
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import RayBatch, directionally_valid, eval_ahead, newton
+from .batch import RayBatch, TypeBatch, directionally_valid, eval_ahead, newton
 from .geom import EPS_ZERO
 from .residual import ALL_TYPES, SolutionType
 from .scenarios import Scenario
@@ -109,9 +110,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Each cell is solved from the single seed (0, 0), or with robust_seeds
     from `solver.seed_grid` over its own span, the seeds `solve_all` gives
     the cell's instance.
-    Per type, one Newton batch runs every (cell, seed) pair; `dedup` with
-    group = cell merges each cell's roots (smallest residual wins), and the
-    survivors are tested for direction in one more batch.  Collinear cells
+    One Newton batch runs every (type, cell, seed) triple, type-major, each
+    element indexing its cell's invariants; `dedup` grouped by (type, cell)
+    merges each cell's roots of a type (smallest residual wins), and one
+    more evaluation tests the survivors for direction.  Collinear cells
     (goal on the start axis with matching heading) cannot be expressed in
     the two-offset parametrization; they are flagged and given count 1 when
     the straight connection itself is a valid path.
@@ -124,9 +126,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     values[name_a] = grid_a.ravel()
     values[name_b] = grid_b.ravel()
 
-    x = values["x"]
-    z = values["z"]
-    angle = values["angle"]
+    x, z, angle = values["x"], values["z"], values["angle"]
     n = x.size
     goal_dir = _goal_direction(spec.mode, angle)
     rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (x, np.zeros(n), z), goal_dir, n)
@@ -141,19 +141,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     # seeds (0, 0), or with robust_seeds the solver's grid over each cell's span
     hi0, hf0 = seed_grid(span) if spec.robust_seeds else (np.zeros((n, 1)), np.zeros((n, 1)))
     k = hi0.shape[1]
-    cell = np.repeat(np.arange(n), k)  # element q solves cell q // k from seed q % k
-    tiled = rb if k == 1 else rb.take(cell)
-    hi0, hf0 = hi0.ravel(), hf0.ravel()
+    # element q solves type q // (n k) in cell (q // k) % n from seed q % k
+    group = np.arange(len(ALL_TYPES) * n * k) // k  # type index * n + cell
+    tiled = rb.take(group % n)
+    types = TypeBatch.repeat(ALL_TYPES, n * k)
+    hi0, hf0 = np.tile(hi0.ravel(), len(ALL_TYPES)), np.tile(hf0.ravel(), len(ALL_TYPES))
     h_limit = runaway_limit(float(span.max()))
 
-    counts = {False: np.zeros(n, np.int64), True: np.zeros(n, np.int64)}
-    for stype in ALL_TYPES:
-        res = newton(tiled, stype, hi0, hf0, DEFAULT_RESIDUAL_TOL, max_iters=GRID_MAX_ITERS, h_limit=h_limit)
-        kept = dedup(np.flatnonzero(res.converged), cell, res.h_i, res.h_f, res.max_abs())
-        ahead = eval_ahead(tiled.take(kept), stype, res.h_i[kept], res.h_f[kept])
-        np.add.at(counts[stype.switched], cell[kept[directionally_valid(stype, ahead)]], 1)
-
-    counts_reg, counts_sw = counts[False], counts[True]
+    res = newton(tiled, types, hi0, hf0, DEFAULT_RESIDUAL_TOL, max_iters=GRID_MAX_ITERS, h_limit=h_limit)
+    kept = dedup(np.flatnonzero(res.converged), group, res.h_i, res.h_f, res.max_abs())
+    picked = types.take(kept)
+    ahead = eval_ahead(tiled.take(kept), picked, res.h_i[kept], res.h_f[kept])
+    valid = np.bincount(group[kept[directionally_valid(picked, ahead)]], minlength=group.size // k)
+    per_type = valid.reshape(len(ALL_TYPES), n)  # types 1-4 are regular, 5-8 switched
+    counts_reg, counts_sw = per_type[:4].sum(0), per_type[4:].sum(0)
     counts_reg[collinear] = 0
     counts_sw[collinear] = 0
     total = counts_reg + counts_sw
@@ -192,33 +193,29 @@ def run_seed_study(
     half_width, seeds and roots are in the scenario's units.
     """
     inst = scenario.instance
-    opts = scenario.options
     r = inst.radius
     vals = np.linspace(-half_width, half_width, resolution)
     a, b = np.meshgrid(vals, vals, indexing="ij")
     hi0 = a.ravel()
     hf0 = b.ravel()
-    rb = RayBatch.from_instance(inst, hi0.size)
-    rows: list[SeedStudyRow] = []
-    for tid in type_ids:
-        stype = SolutionType.from_id(tid)
-        res = newton(
-            rb, stype, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, max_iters=opts.max_iters, use_gradient=opts.use_gradient
+    # one batch over every (type, seed), type-major
+    m, n = hi0.size, len(type_ids) * hi0.size
+    types = TypeBatch.repeat([SolutionType.from_id(tid) for tid in type_ids], m)
+    seeds = np.tile(hi0 / r, len(type_ids)), np.tile(hf0 / r, len(type_ids))
+    opts = dict(max_iters=scenario.options.max_iters, use_gradient=scenario.options.use_gradient)
+    res = newton(RayBatch.from_instance(inst, n), types, *seeds, DEFAULT_RESIDUAL_TOL, **opts)
+    conv, root_hi, root_hf = res.converged, res.h_i * r, res.h_f * r
+    return [
+        SeedStudyRow(
+            float(hi0[q % m]),
+            float(hf0[q % m]),
+            type_ids[q // m],
+            bool(conv[q]),
+            float(root_hi[q]) if conv[q] else None,
+            float(root_hf[q]) if conv[q] else None,
         )
-        root_hi, root_hf = res.h_i * r, res.h_f * r
-        for q in range(hi0.size):
-            conv = bool(res.converged[q])
-            rows.append(
-                SeedStudyRow(
-                    float(hi0[q]),
-                    float(hf0[q]),
-                    tid,
-                    conv,
-                    float(root_hi[q]) if conv else None,
-                    float(root_hf[q]) if conv else None,
-                )
-            )
-    return rows
+        for q in range(n)
+    ]
 
 
 @dataclass(frozen=True)
@@ -253,15 +250,18 @@ def run_gradient_study(n_cases: int, rng_seed: int) -> list[GradientStudyRow]:
     rb = RayBatch.build(
         (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (xf[:, 0], xf[:, 1], xf[:, 2]), (vf[:, 0], vf[:, 1], vf[:, 2]), n_cases
     )
-    counts = {True: np.zeros(n_cases, np.int64), False: np.zeros(n_cases, np.int64)}
+    # per Jacobian mode, one batch over every (type, case), type-major
+    tiled = rb.take(np.tile(np.arange(n_cases), len(ALL_TYPES)))
+    types = TypeBatch.repeat(ALL_TYPES, n_cases)
+    seeds = np.tile(hi0, len(ALL_TYPES)), np.tile(hf0, len(ALL_TYPES))
     h_limit = runaway_limit(float(span.max()))
-    for stype in ALL_TYPES:
-        for use_gradient in (True, False):
-            res = newton(
-                rb, stype, hi0, hf0, DEFAULT_RESIDUAL_TOL, max_iters=100, use_gradient=use_gradient, h_limit=h_limit
-            )
-            ahead = eval_ahead(rb, stype, res.h_i, res.h_f)
-            counts[use_gradient] += res.converged & directionally_valid(stype, ahead)
+    counts = {}
+    for use_gradient in (True, False):
+        res = newton(
+            tiled, types, *seeds, DEFAULT_RESIDUAL_TOL, max_iters=100, use_gradient=use_gradient, h_limit=h_limit
+        )
+        valid = res.converged & directionally_valid(types, eval_ahead(tiled, types, res.h_i, res.h_f))
+        counts[use_gradient] = valid.reshape(len(ALL_TYPES), n_cases).sum(0)
     angles = np.arccos(np.clip(vf[:, 2], -1.0, 1.0))  # angle from the +z start heading
     return [
         GradientStudyRow(k, float(chord[k]), float(angles[k]), int(counts[True][k]), int(counts[False][k]))

@@ -1,6 +1,7 @@
 """The vectorized evaluation core must agree with the scalar reference."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from dubins3d.residual import (
     jacobian,
     residuals,
 )
+from dubins3d.oracle import GridWindow, sample_contours
 from dubins3d.solver import SolutionCandidate, solve_all
+from dubins3d.studies import SweepSpec, run_sweep
 
 
 def random_instance(rng):
@@ -165,10 +168,11 @@ def mixed_batch(rng, per=40):
     """Elements on six random pairs and one collinear (everywhere singular)
     pair, each element with a random type and random offsets in units of r."""
     insts = [random_instance(rng) for _ in range(6)] + [instance((0, 0, 0), (0, 0, 1), (0, 0, 5), (0, 0, 1))]
-    parts = [RayBatch.from_instance(inst, per) for inst in insts]
-    joined = lambda f: tuple(np.concatenate([getattr(b, f)[k] for b in parts]) for k in range(3))
-    rb = RayBatch(joined("xi"), joined("vi"), joined("xf"), joined("vf"))
-    n = len(rb)
+    units = [inst.in_radius_units() for inst in insts]
+    rays = [(u.start.position, u.start.direction, u.goal.position, u.goal.direction) for u in units]
+    joined = lambda f: tuple(np.repeat([ray[f].as_tuple()[k] for ray in rays], per) for k in range(3))
+    n = per * len(insts)
+    rb = RayBatch.build(joined(0), joined(1), joined(2), joined(3), n)
     stypes = [ALL_TYPES[t] for t in rng.integers(0, 8, n)]
     return rb, stypes, rng.uniform(-8, 8, n), rng.uniform(-8, 8, n)
 
@@ -271,3 +275,29 @@ def test_newton_evaluates_ladder_sizes_only(monkeypatch):
     assert 656 in sizes and len(sizes) > 5
     assert all(s == 656 or (s <= PAD_STEP and s & (s - 1) == 0) or s % PAD_STEP == 0 for s in sizes), sorted(sizes)
 
+
+def test_kernel_emits_no_runtime_warning():
+    # singular elements come out NaN without a division by zero, also in a
+    # branch np.where does not select: the collinear pair of the mixed batch
+    # is singular everywhere, and the aligned planar slice has a collinear
+    # column.  At (0, 0) the grazing pair's segment is 3e-9 rad off the
+    # start heading: regular, not singular, but d rounds to |A| exactly, so
+    # d - |A| is 0 there
+    rng = np.random.default_rng(25)
+    collinear = instance((0, 0, 0), (0, 0, 1), (0, 0, 5), (0, 0, 1))
+    grazing = instance((0, 0, 0), (0, 0, 1), (1.5e-8, 0, 5), (1, 0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        zeros = np.zeros(8)
+        p_i, p_f, J = eval_residuals(RayBatch.from_instance(grazing, 8), TypeBatch.repeat(ALL_TYPES, 1), zeros, zeros, jac=True)
+        assert np.isfinite(p_i).all() and np.isfinite(p_f).all() and all(np.isfinite(j).all() for j in J)
+        for kw in (dict(h_limit=40.0), dict(use_gradient=False)):
+            rb, stypes, hi, hf = mixed_batch(rng)
+            types = TypeBatch.repeat(stypes, 1)
+            p_i, _, J = eval_residuals(rb, types, hi, hf, jac=True)
+            assert np.isnan(p_i).any() and np.isnan(J[1]).any()
+            eval_fd_jacobian(rb, types, hi, hf)
+            eval_ahead(rb, types, hi, hf)
+            newton(rb, types, hi, hf, 1e-9, **kw)
+        assert all(np.isnan(c.p_i).all() for c in sample_contours(collinear, GridWindow.square(6.0, 32)))
+        run_sweep(SweepSpec("planar", ("angle", 0.0), steps=21))

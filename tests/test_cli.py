@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,7 @@ MALFORMED = [
     ({"radius": None}, "radius"),
     ({"radius": "1"}, "radius"),
     ({"goal": {"position": [None, 0, 3], "direction": [0, 0, 1]}}, "goal.position[0]"),
+    ({"optoins": {"max_iters": 7}}, "scenario.optoins"),
 ]
 SCENARIO_COMMANDS = {
     "solve": [],
@@ -283,3 +285,23 @@ def test_scenario_seed_policy_options(tmp_path):
     assert load_scenario(path).options == SolverOptions(max_iters=60, use_gradient=False, seed=HPair(-1.8, 3.0))
     path = write_raw(tmp_path, "grid", {**BASE_SCENARIO, "options": {"seed_policy": {"kind": "grid"}}})
     assert load_scenario(path).options == SolverOptions()
+
+
+@pytest.mark.parametrize(
+    "opts",
+    [
+        SolverOptions(),
+        SolverOptions(max_iters=7),
+        SolverOptions(use_gradient=False),
+        SolverOptions(seed=HPair(-1.8, 3.0)),
+        SolverOptions(max_iters=60, use_gradient=False, seed=HPair(0.0, 0.0)),
+    ],
+)
+def test_scenario_options_round_trip(tmp_path, opts):
+    scn = replace(load_bundled("seed_sensitivity"), options=opts)
+    path = tmp_path / "scn.json"
+    with path.open("w") as fh:
+        save_scenario(scn, fh)
+    assert load_scenario(path).options == opts
+    # a scenario on default options is written without an options object
+    assert ("options" in json.loads(path.read_text())) == (opts != SolverOptions())

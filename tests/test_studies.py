@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dubins3d import batch, studies
+from dubins3d.batch import RayBatch, directionally_valid, eval_ahead
 from dubins3d.geom import instance
 from dubins3d.path import check_directionality
+from dubins3d.residual import ALL_TYPES, SolutionType
 from dubins3d.scenarios import Scenario, load_bundled
-from dubins3d.solver import CollinearInstance, SolverOptions, solve_all
+from dubins3d.solver import DEFAULT_RESIDUAL_TOL, CollinearInstance, SolverOptions, dedup, runaway_limit, solve_all
 from dubins3d.studies import (
     SweepSpec,
     axis_values,
@@ -120,7 +123,7 @@ def test_robust_sweep_seeds_are_the_solver_grid_per_cell(mode, fixed, monkeypatc
     monkeypatch.setattr(studies, "newton", record)
     result = run_sweep(SweepSpec(mode, fixed, steps=5, robust_seeds=True))
     sweep_hi, sweep_hf = seeds[0]
-    k = sweep_hi.size // 25
+    k = sweep_hi.size // (25 * 8)  # type-major: type 1's block is cell-major
     monkeypatch.setattr(batch, "newton", record)  # the one solve_all calls
     names = result.axis_names
     for i, a in enumerate(result.axis_a):
@@ -187,3 +190,105 @@ def test_gradient_study_columns_sane():
         assert 0 <= r.n_without_gradient <= 8
     ge = sum(r.n_with_gradient >= r.n_without_gradient for r in rows)
     assert ge >= 0.8 * len(rows)
+
+
+NEWTON_FIELDS = ("h_i", "h_f", "p_i", "p_f", "converged", "iterations")
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SweepSpec("planar", ("angle", 0.0), steps=7, robust_seeds=True),
+        SweepSpec("nonplanar", ("z", -1.5), steps=5, robust_seeds=True),
+        SweepSpec("nonplanar", ("angle", 2.0), steps=9),
+    ],
+)
+def test_fused_sweep_equals_per_type_loop_bitwise(spec, monkeypatch):
+    # the loop run_sweep replaced: per type, one Newton batch over every
+    # (cell, seed), dedup grouped by cell and one directional test
+    calls = []
+
+    def record(rb, stype, h_i, h_f, *args, **kwargs):
+        res = batch.newton(rb, stype, h_i, h_f, *args, **kwargs)
+        calls.append((rb, h_i.copy(), h_f.copy(), args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(studies, "newton", record)
+    result = run_sweep(spec)
+    [(rb, hi0, hf0, args, kwargs, fused)] = calls
+    n = spec.steps**2
+    k = hi0.size // (8 * n)
+    cell = np.repeat(np.arange(n), k)
+    counts = {False: np.zeros(n, np.int64), True: np.zeros(n, np.int64)}
+    for t, stype in enumerate(ALL_TYPES):
+        block = np.arange(t * n * k, (t + 1) * n * k)
+        sub = rb.take(block)
+        one = batch.newton(sub, stype, hi0[block], hf0[block], *args, **kwargs)
+        for name in NEWTON_FIELDS:
+            assert _same_bits(getattr(fused, name)[block], getattr(one, name)), (stype, name)
+        kept = dedup(np.flatnonzero(one.converged), cell, one.h_i, one.h_f, one.max_abs())
+        ahead = eval_ahead(sub.take(kept), stype, one.h_i[kept], one.h_f[kept])
+        np.add.at(counts[stype.switched], cell[kept[directionally_valid(stype, ahead)]], 1)
+    free = result.collinear.ravel() == 0
+    assert _same_bits(result.counts_regular.ravel()[free], counts[False][free])
+    assert _same_bits(result.counts_switched.ravel()[free], counts[True][free])
+
+
+def test_fused_seed_study_equals_per_type_loop():
+    scenario = load_bundled("seed_sensitivity")
+    inst, r = scenario.instance, scenario.instance.radius
+    vals = np.linspace(-4.0, 4.0, 7)
+    a, b = np.meshgrid(vals, vals, indexing="ij")
+    hi0, hf0 = a.ravel(), b.ravel()
+    want = []
+    for tid in (6, 1, 8):
+        res = batch.newton(RayBatch.from_instance(inst, hi0.size), SolutionType.from_id(tid), hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL)
+        for q in range(hi0.size):
+            conv = bool(res.converged[q])
+            root = (float(res.h_i[q] * r), float(res.h_f[q] * r)) if conv else (None, None)
+            want.append((float(hi0[q]), float(hf0[q]), tid, conv, *root))
+    got = run_seed_study(scenario, 4.0, 7, type_ids=(6, 1, 8))
+    assert [(r.seed_h_i, r.seed_h_f, r.type_id, r.converged, r.root_h_i, r.root_h_f) for r in got] == want
+
+
+def test_fused_gradient_study_equals_per_type_loop():
+    rng = np.random.default_rng(99)
+    n = 30
+    xf = rng.uniform(-6.0, 6.0, size=(n, 3))
+    vf = rng.normal(size=(n, 3))
+    vf /= np.linalg.norm(vf, axis=1, keepdims=True)
+    chord = np.linalg.norm(xf, axis=1)
+    span = chord + 4.0
+    seed = rng.uniform(-1.0, 1.0, size=(n, 2))
+    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), tuple(xf.T), tuple(vf.T), n)
+    counts = {True: np.zeros(n, np.int64), False: np.zeros(n, np.int64)}
+    for stype in ALL_TYPES:
+        for use_gradient in (True, False):
+            res = batch.newton(
+                rb, stype, seed[:, 0] * span, seed[:, 1] * span, DEFAULT_RESIDUAL_TOL,
+                use_gradient=use_gradient, h_limit=runaway_limit(float(span.max())),
+            )
+            counts[use_gradient] += res.converged & directionally_valid(stype, eval_ahead(rb, stype, res.h_i, res.h_f))
+    rows = run_gradient_study(n, rng_seed=99)
+    assert [r.n_with_gradient for r in rows] == counts[True].tolist()
+    assert [r.n_without_gradient for r in rows] == counts[False].tolist()
+    assert 0 < counts[True].sum() and 0 < counts[False].sum()
+
+
+def test_robust_sweep_slice_memory_bound():
+    # fusing the eight types' batches once raised the benchmark's sweep RSS
+    # by 11%; the invariant kernel keeps one slice's Python-side peak low
+    spec = SweepSpec("nonplanar", ("z", -4.5), steps=3, robust_seeds=True)
+    run_sweep(spec)  # imports and numpy's small-array caches
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * 2**20, peak
