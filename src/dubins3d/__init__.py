@@ -22,10 +22,7 @@ from .geom import (
 from .oracle import (
     ContourMap,
     GridWindow,
-    build_contours,
     enumerate_all_types,
-    enumerate_roots,
-    refine_roots,
     sample_contours,
 )
 from .path import (
@@ -98,11 +95,9 @@ __all__ = [
     "ValidityVerdict",
     "Vec3",
     "ZeroVector",
-    "build_contours",
     "check_directionality",
     "dedup",
     "enumerate_all_types",
-    "enumerate_roots",
     "extract_path",
     "instance",
     "jacobian",
@@ -112,7 +107,6 @@ __all__ = [
     "parse_scenario",
     "path_length",
     "point_line_distance",
-    "refine_roots",
     "residuals",
     "sample_contours",
     "sample_path",

@@ -2,7 +2,10 @@
 
 One kernel serves all types from many seeds on one problem (multistart),
 seeds on many problems at once (sweeps) and the oracle's grid fields, on
-instances scaled to unit radius: every length here is in units of r.
+instances scaled to unit radius: every length here is in units of r.  A
+batch is a RayBatch of problem data and a type, or a TypeBatch of types,
+with the offset arrays setting its element count; `newton` is the one
+iteration over it, with the stopping tolerance DEFAULT_RESIDUAL_TOL.
 
 The tangency system depends on a start/goal pair only through rigid-motion
 invariants: with D = x_f - x_i, a = D.v_i, b = D.v_f, c = v_i.v_f and the
@@ -40,6 +43,10 @@ PLATEAU_FACTOR = 0.99
 # Batch sizes newton shrinks to: powers of two up to PAD_STEP, then
 # multiples of PAD_STEP (see _pad).
 PAD_STEP = 16
+# newton stops an element once max(|p_i|, |p_f|) <= DEFAULT_RESIDUAL_TOL.
+DEFAULT_RESIDUAL_TOL = 1e-9
+# Offset step of eval_fd_jacobian's central differences.
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,39 +58,36 @@ class RayBatch:
 
     inv: tuple[float, ...] | np.ndarray
     row: np.ndarray | None
-    size: int
 
     @classmethod
-    def build(cls, xi, vi, xf, vf, n: int) -> "RayBatch":
-        """n elements from rays given by components, each a float or an
-        (n,) array; element q is its own instance unless every component is
-        a float."""
+    def build(cls, xi, vi, xf, vf) -> "RayBatch":
+        """Rays given by components, each a float or an (n,) array: n
+        instances, element q being instance q, or one instance that every
+        element shares when every component is a float."""
         dot = lambda u, v: u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
         cross = lambda u, v: (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
         dx = (xf[0] - xi[0], xf[1] - xi[1], xf[2] - xi[2])
         inv = (dot(dx, vi), dot(dx, vf), dot(vi, vf), *cross(dx, vi), *cross(dx, vf), *cross(vf, vi))
         if all(np.ndim(v) == 0 for v in inv):
-            return cls(tuple(float(v) for v in inv), None, n)
-        return cls(np.stack(np.broadcast_arrays(*(np.asarray(v, float) for v in inv))), np.arange(n), n)
+            return cls(tuple(float(v) for v in inv), None)
+        inv = np.stack(np.broadcast_arrays(*(np.asarray(v, float) for v in inv)))
+        return cls(inv, np.arange(inv.shape[1]))
 
     @classmethod
-    def from_instance(cls, inst: ProblemInstance, n: int) -> "RayBatch":
-        """One problem instance, scaled to unit radius, shared by n elements."""
+    def from_instance(cls, inst: ProblemInstance) -> "RayBatch":
+        """One problem instance, scaled to unit radius, shared by every element."""
         u = inst.in_radius_units()
         rays = (u.start.position, u.start.direction, u.goal.position, u.goal.direction)
-        return cls.build(*(v.as_tuple() for v in rays), n)
+        return cls.build(*(v.as_tuple() for v in rays))
 
     def take(self, sel: np.ndarray) -> "RayBatch":
         """The elements at the indices sel."""
-        return RayBatch(self.inv, None if self.row is None else self.row[sel], len(sel))
+        return RayBatch(self.inv, None if self.row is None else self.row[sel])
 
     def per_element(self, start: int, stop: int):
         """Invariants start to stop - 1 of every element: floats, or a
         (stop - start, N) array gathered by row."""
         return self.inv[start:stop] if self.row is None else np.take(self.inv[start:stop], self.row, axis=1)
-
-    def __len__(self) -> int:
-        return self.size
 
 
 # direction, start_sign and end_sign of every type, by type_id - 1
@@ -102,11 +106,6 @@ class TypeBatch:
     direction = property(lambda self: _SIGNS[0][self.code])
     start_sign = property(lambda self: _SIGNS[1][self.code])
     end_sign = property(lambda self: _SIGNS[2][self.code])
-
-    @classmethod
-    def build(cls, stype: SolutionType, n: int) -> "TypeBatch":
-        """stype for each of n elements."""
-        return cls(np.full(n, stype.type_id - 1, np.int8))
 
     @classmethod
     def repeat(cls, stypes: Sequence[SolutionType], counts) -> "TypeBatch":
@@ -210,15 +209,14 @@ def directionally_valid(stype: SolutionType | TypeBatch, ahead: np.ndarray) -> n
     return stype.direction * ahead >= -EPS_ZERO
 
 
-def eval_fd_jacobian(
-    batch: RayBatch, stype: SolutionType | TypeBatch, hi: np.ndarray, hf: np.ndarray, step: float = 1e-6
-):
-    """Central finite-difference Jacobian (the gradient-free solver mode)."""
-    pi_a, pf_a, _ = eval_residuals(batch, stype, hi + step, hf)
-    pi_b, pf_b, _ = eval_residuals(batch, stype, hi - step, hf)
-    pi_c, pf_c, _ = eval_residuals(batch, stype, hi, hf + step)
-    pi_d, pf_d, _ = eval_residuals(batch, stype, hi, hf - step)
-    inv = 0.5 / step
+def eval_fd_jacobian(batch: RayBatch, stype: SolutionType | TypeBatch, hi: np.ndarray, hf: np.ndarray):
+    """Central finite-difference Jacobian, step FD_STEP (the gradient-free
+    solver mode)."""
+    pi_a, pf_a, _ = eval_residuals(batch, stype, hi + FD_STEP, hf)
+    pi_b, pf_b, _ = eval_residuals(batch, stype, hi - FD_STEP, hf)
+    pi_c, pf_c, _ = eval_residuals(batch, stype, hi, hf + FD_STEP)
+    pi_d, pf_d, _ = eval_residuals(batch, stype, hi, hf - FD_STEP)
+    inv = 0.5 / FD_STEP
     return ((pi_a - pi_b) * inv, (pi_c - pi_d) * inv, (pf_a - pf_b) * inv, (pf_c - pf_d) * inv)
 
 
@@ -290,7 +288,6 @@ def newton(
     stype: SolutionType | TypeBatch,
     hi0: np.ndarray,
     hf0: np.ndarray,
-    tol: float,
     max_iters: int = 100,
     use_gradient: bool = True,
     h_limit: float = np.inf,
@@ -300,8 +297,8 @@ def newton(
     stype is one type for every element or a TypeBatch of one type per
     element; elements never interact, so each one's iterates, residuals and
     iteration count do not depend on what else is in the batch.  An element
-    converges when max(|p_i|, |p_f|) <= tol.  Elements are dropped
-    when the geometry turns singular with no acceptable backtracked step,
+    converges when max(|p_i|, |p_f|) <= DEFAULT_RESIDUAL_TOL.  Elements are
+    dropped when the geometry turns singular with no acceptable backtracked step,
     when the Jacobian degenerates, when progress plateaus, or when the
     iterate runs past h_limit.  What is left is padded with copies of live
     elements to a ladder size (`_pad`); a copy writes the same results to
@@ -348,7 +345,7 @@ def newton(
     for k in range(max_iters + 1):
         if idx.size == 0:
             break
-        done = np.fmax(np.abs(cpi), np.abs(cpf)) <= tol
+        done = np.fmax(np.abs(cpi), np.abs(cpf)) <= DEFAULT_RESIDUAL_TOL
         if done.any():
             sel = idx[done]
             out.converged[sel] = True
@@ -380,7 +377,7 @@ def newton(
         keep = _line_search(cur, types, chi, chf, cpi, cpf, cfn, dhi, dhf, live)
         if len(hist) >= PLATEAU_WINDOW:
             # never plateau-kill an element that just crossed the tolerance
-            near = np.fmax(np.abs(cpi), np.abs(cpf)) <= tol
+            near = np.fmax(np.abs(cpi), np.abs(cpf)) <= DEFAULT_RESIDUAL_TOL
             keep = keep & ((cfn <= PLATEAU_FACTOR * hist[-PLATEAU_WINDOW]) | near)
         keep = keep & (np.abs(chi) <= h_limit) & (np.abs(chf) <= h_limit)
         hist = (hist + [cfn])[-PLATEAU_WINDOW:]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .geom import DubinsError, ProblemInstance
-from .oracle import GridWindow, enumerate_roots, sample_contours
+from .oracle import GridWindow, enumerate_all_types, sample_contours
 from .path import check_directionality, extract_path, verify_path
 from .residual import HPair, SolutionType
 from .scenarios import (
@@ -85,40 +85,12 @@ def build_case_report(scenario: Scenario, opts: SolverOptions) -> dict:
     rows: list[SolutionRow] = []
     for cand in cands:
         verdict = check_directionality(cand)
-        if verdict.valid:
-            p = extract_path(cand, inst)
-            report = verify_path(p, inst)
-            rows.append(
-                SolutionRow(
-                    cand.type_id,
-                    cand.hp.h_i,
-                    cand.hp.h_f,
-                    True,
-                    verdict.reason,
-                    p.total_length,
-                    p.arc_start.angle,
-                    p.arc_end.angle,
-                    p.segment.length,
-                    cand.iterations,
-                    report.ok,
-                )
-            )
-        else:
-            rows.append(
-                SolutionRow(
-                    cand.type_id,
-                    cand.hp.h_i,
-                    cand.hp.h_f,
-                    False,
-                    verdict.reason,
-                    None,
-                    None,
-                    None,
-                    None,
-                    cand.iterations,
-                    None,
-                )
-            )
+        # a filtered root has no path: None in every path field
+        p = extract_path(cand, inst) if verdict.valid else None
+        shape = (p.total_length, p.arc_start.angle, p.arc_end.angle, p.segment.length) if p else (None,) * 4
+        ok = verify_path(p, inst).ok if p else None
+        hp = cand.hp
+        rows.append(SolutionRow(cand.type_id, hp.h_i, hp.h_f, verdict.valid, verdict.reason, *shape, cand.iterations, ok))
     wall = time.perf_counter() - t0
     valid_rows = [r for r in rows if r.valid]
     if valid_rows:
@@ -283,9 +255,9 @@ def _check_expectation(exp: ReferenceExpectation, inst: ProblemInstance, report:
         checks.append(("valid_switched", n == exp.valid_switched, f"expected {exp.valid_switched}, got {n}"))
     for tid in exp.invalid_present:
         checks.append((f"invalid_type_{tid}_present", tid in invalid_types, f"filtered roots: {sorted(invalid_types)}"))
+    absent = enumerate_all_types(inst, GridWindow.for_instance(inst), map(SolutionType.from_id, exp.absent))
     for tid in exp.absent:
-        roots = enumerate_roots(inst, SolutionType.from_id(tid), GridWindow.for_instance(inst))
-        checks.append((f"type_{tid}_absent", len(roots) == 0, f"enumeration found {len(roots)} roots"))
+        checks.append((f"type_{tid}_absent", not absent[tid], f"enumeration found {len(absent[tid])} roots"))
     ok_verify = all(s["verify_ok"] for s in valid) if valid else True
     checks.append(("paths_verify", ok_verify, "all valid paths pass geometric verification"))
     return checks

@@ -4,10 +4,10 @@ Independent of the multistart solver's seeding: the residual fields of all
 requested types are sampled on a dense grid from one pass of the batch
 kernel's invariants (`sample_contours`), cells where both fields change sign
 are detected in marching-squares fashion, and one Newton batch refines from
-the centre of every such cell of every type.  Used to audit solver
-completeness and to export residual fields for plotting.  As in `solver`,
-both run in units of the radius; windows, fields and roots are in the
-instance's own units.
+the centre of every such cell of every type (`enumerate_all_types`, for all
+eight types or any subset).  Used to audit solver completeness and to
+export residual fields for plotting.  As in `solver`, both run in units of
+the radius; windows, fields and roots are in the instance's own units.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .batch import RayBatch
 from .batch import eval_residuals  # noqa: F401  unused here; bench/tracing.py wraps oracle.eval_residuals
 from .geom import ProblemInstance
 from .residual import ALL_TYPES, HPair, SolutionType
-from .solver import DEFAULT_DEDUP_TOL, DEFAULT_RESIDUAL_TOL, GRID_MAX_ITERS, dedup
+from .solver import DEFAULT_DEDUP_TOL, GRID_MAX_ITERS, dedup
 from .solver import solve_type  # noqa: F401  unused here; bench/tracing.py wraps oracle.solve_type
 
 # Node values this close to zero (in units of r) count as crossings so roots
@@ -130,7 +130,7 @@ def sample_contours(
     r = inst.radius
     hi_nodes, hf_nodes = window.nodes()
     hi, hf = (hi_nodes / r)[:, None], (hf_nodes / r)[None, :]
-    A, B, _, d, _, _, r_i, r_f = _batch.frame(RayBatch.from_instance(inst, 1), hi, hf)
+    A, B, _, d, _, _, r_i, r_f = _batch.frame(RayBatch.from_instance(inst), hi, hf)
     # per end, the two candidate half-angle tangents and where A (or B) <= 0
     # and >= 0, the conditions sigma A <= 0 of the two families
     ends = {}
@@ -158,63 +158,38 @@ def sample_contours(
             yield ContourMap(t, window, hi_nodes, hf_nodes, p_i, p_f, singular, crossings_i, crossings_f)
 
 
-def build_contours(inst: ProblemInstance, stype: SolutionType, window: GridWindow) -> ContourMap:
-    """Sample both residual fields of one type over the window and mark
-    sign changes: `sample_contours` for that type alone."""
-    return next(sample_contours(inst, window, (stype,)))
-
-
-def _cell_centres(cmap: ContourMap) -> tuple[np.ndarray, np.ndarray]:
-    """The centre of every cell of the map where both fields change sign."""
-    i, j = cmap.intersection_cells().T
-    return 0.5 * (cmap.h_i_nodes[i] + cmap.h_i_nodes[i + 1]), 0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1])
-
-
-def _refine(
-    inst: ProblemInstance, window: GridWindow, seeds: list[tuple[SolutionType, np.ndarray, np.ndarray]]
+def enumerate_all_types(
+    inst: ProblemInstance, window: GridWindow, stypes: Iterable[SolutionType] = ALL_TYPES
 ) -> dict[int, list[HPair]]:
-    """`refine_roots` for every (type, h_i seeds, h_f seeds) entry, keyed by
-    type id: one Newton batch over all their seeds, roots merged per type."""
+    """All roots of every requested type inside the window, keyed by type id
+    in the order `sample_contours` yields the types; no types give {}.
+
+    The centre of every cell where both fields of a type's map change sign
+    is collected while one sampling pass yields the maps, so only one
+    family's fields are alive at a time, and one Newton batch refines them
+    all.  Refined roots that escape the window by more than 1e-9 r are
+    discarded; the rest are merged per type within DEFAULT_DEDUP_TOL r
+    (smallest residual wins) and returned sorted by (h_i, h_f).
+    """
+    stypes = tuple(stypes)
+    if not stypes:
+        return {}
     r = inst.radius
-    counts = [hi.size for _, hi, _ in seeds]
-    hi0 = np.concatenate([hi for _, hi, _ in seeds])
-    hf0 = np.concatenate([hf for _, _, hf in seeds])
-    rb = RayBatch.from_instance(inst, hi0.size)
-    types = _batch.TypeBatch.repeat([t for t, _, _ in seeds], counts)
-    res = _batch.newton(rb, types, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, max_iters=GRID_MAX_ITERS)
+    found, hi0, hf0 = [], [], []
+    for cmap in sample_contours(inst, window, stypes):
+        i, j = cmap.intersection_cells().T
+        found.append(cmap.stype)
+        hi0.append(0.5 * (cmap.h_i_nodes[i] + cmap.h_i_nodes[i + 1]))
+        hf0.append(0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1]))
+    types = _batch.TypeBatch.repeat(found, [hi.size for hi in hi0])
+    hi0, hf0 = np.concatenate(hi0) / r, np.concatenate(hf0) / r
+    res = _batch.newton(RayBatch.from_instance(inst), types, hi0, hf0, max_iters=GRID_MAX_ITERS)
     res.h_i *= r
     res.h_f *= r
     cand = np.flatnonzero(res.converged & window.contains(res, 1e-9 * r))
-    group = np.repeat(np.arange(len(seeds)), counts)
-    roots: dict[int, list[HPair]] = {t.type_id: [] for t, _, _ in seeds}
-    for q in dedup(cand, group, res.h_i, res.h_f, res.max_abs(), DEFAULT_DEDUP_TOL * r):
-        roots[seeds[group[q]][0].type_id].append(HPair(float(res.h_i[q]), float(res.h_f[q])))
-    for found in roots.values():
-        found.sort(key=lambda p: (p.h_i, p.h_f))
+    roots: dict[int, list[HPair]] = {t.type_id: [] for t in found}
+    for q in dedup(cand, types.code, res.h_i, res.h_f, res.max_abs(), DEFAULT_DEDUP_TOL * r):
+        roots[ALL_TYPES[types.code[q]].type_id].append(HPair(float(res.h_i[q]), float(res.h_f[q])))
+    for hps in roots.values():
+        hps.sort(key=lambda p: (p.h_i, p.h_f))
     return roots
-
-
-def refine_roots(inst: ProblemInstance, cmap: ContourMap) -> list[HPair]:
-    """All roots of the map's type inside its window, found by one Newton
-    batch seeded at the centre of every cell where both residual fields
-    change sign.
-
-    Refined roots that escape the window by more than 1e-9 r are discarded;
-    the rest are merged within DEFAULT_DEDUP_TOL r (smallest residual wins)
-    and returned sorted by (h_i, h_f).
-    """
-    return _refine(inst, cmap.window, [(cmap.stype, *_cell_centres(cmap))])[cmap.stype.type_id]
-
-
-def enumerate_roots(inst: ProblemInstance, stype: SolutionType, window: GridWindow) -> list[HPair]:
-    """All roots of one type inside the window: refine_roots on a freshly
-    sampled contour map of it."""
-    return refine_roots(inst, build_contours(inst, stype, window))
-
-
-def enumerate_all_types(inst: ProblemInstance, window: GridWindow) -> dict[int, list[HPair]]:
-    """refine_roots for every type, keyed by type id: the cell centres of all
-    eight maps are collected while one sampling pass (`sample_contours`)
-    yields them, so only one family's fields are alive at a time, and one
-    Newton batch refines them all, merging roots per type."""
-    return _refine(inst, window, [(cmap.stype, *_cell_centres(cmap)) for cmap in sample_contours(inst, window)])

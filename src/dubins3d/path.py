@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from .geom import EPS_ZERO, DubinsError, ProblemInstance, UnitVec3, Vec3, normalize
 from .solver import SolutionCandidate
 
-VALID_REASONS = ("ok", "regular_backward", "switched_forward", "degenerate_segment")
-
 
 class InvalidCandidate(DubinsError):
     """Raised when a path is requested for a directionally invalid root."""

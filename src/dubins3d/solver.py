@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import batch as _batch
+from .batch import DEFAULT_RESIDUAL_TOL
 from .geom import EPS_ZERO, DubinsError, ProblemInstance
 from .residual import ALL_TYPES, Geometry, HPair, ResidualPair, SolutionType, residuals
 
-# Both in units of the turn radius: roots closer than DEFAULT_DEDUP_TOL merge,
-# and Newton stops once max(|p_i|, |p_f|) <= DEFAULT_RESIDUAL_TOL.
+# In units of the turn radius: roots closer than DEFAULT_DEDUP_TOL merge.
+# Newton stops at batch.DEFAULT_RESIDUAL_TOL, the bound solve_all also
+# re-verifies every root against.
 DEFAULT_DEDUP_TOL = 1e-6
-DEFAULT_RESIDUAL_TOL = 1e-9
 # Seeds wandering beyond this multiple of the seeding half-width are abandoned.
 RUNAWAY_SCALE = 100.0
 # Newton iteration limit of the grid-seeded batches: every (cell, seed) of a
@@ -138,11 +139,9 @@ def solve_type(
     """
     opts = opts or SolverOptions()
     r = inst.radius
-    rb = _batch.RayBatch.from_instance(inst, 1)
+    rb = _batch.RayBatch.from_instance(inst)
     seeds = (np.array([seed.h_i / r]), np.array([seed.h_f / r]))
-    res = _batch.newton(
-        rb, stype, *seeds, DEFAULT_RESIDUAL_TOL, max_iters=opts.max_iters, use_gradient=opts.use_gradient
-    )
+    res = _batch.newton(rb, stype, *seeds, max_iters=opts.max_iters, use_gradient=opts.use_gradient)
     if not res.converged[0]:
         raise NotConverged(f"{stype} from seed ({seed.h_i}, {seed.h_f})")
     hp = HPair(float(res.h_i[0]), float(res.h_f[0]))
@@ -197,11 +196,10 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
     n = len(ALL_TYPES) * k
     group = np.arange(n) // k
     run = _batch.newton(
-        _batch.RayBatch.from_instance(inst, n),
+        _batch.RayBatch.from_instance(inst),
         _batch.TypeBatch.repeat(ALL_TYPES, k),
         np.tile(hi0 / r, len(ALL_TYPES)),
         np.tile(hf0 / r, len(ALL_TYPES)),
-        DEFAULT_RESIDUAL_TOL,
         max_iters=opts.max_iters,
         use_gradient=opts.use_gradient,
         h_limit=runaway_limit(inst.span / r),

@@ -22,7 +22,7 @@ from .batch import RayBatch, TypeBatch, directionally_valid, eval_ahead, newton
 from .geom import EPS_ZERO
 from .residual import ALL_TYPES, SolutionType
 from .scenarios import Scenario
-from .solver import DEFAULT_RESIDUAL_TOL, GRID_MAX_ITERS, dedup, runaway_limit, seed_grid
+from .solver import GRID_MAX_ITERS, dedup, runaway_limit, seed_grid
 
 SWEEP_MODES = ("planar", "nonplanar")
 # Swept axis ranges: positions on [-6, 6] (inclusive, symmetric about 0) and
@@ -129,7 +129,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     x, z, angle = values["x"], values["z"], values["angle"]
     n = x.size
     goal_dir = _goal_direction(spec.mode, angle)
-    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (x, np.zeros(n), z), goal_dir, n)
+    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (x, np.zeros(n), z), goal_dir)
 
     # collinear cells: goal heading parallel to +z and goal on the z axis;
     # the straight connection is itself a path only for a forward-aligned goal
@@ -148,7 +148,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     hi0, hf0 = np.tile(hi0.ravel(), len(ALL_TYPES)), np.tile(hf0.ravel(), len(ALL_TYPES))
     h_limit = runaway_limit(float(span.max()))
 
-    res = newton(tiled, types, hi0, hf0, DEFAULT_RESIDUAL_TOL, max_iters=GRID_MAX_ITERS, h_limit=h_limit)
+    res = newton(tiled, types, hi0, hf0, max_iters=GRID_MAX_ITERS, h_limit=h_limit)
     kept = dedup(np.flatnonzero(res.converged), group, res.h_i, res.h_f, res.max_abs())
     picked = types.take(kept)
     ahead = eval_ahead(tiled.take(kept), picked, res.h_i[kept], res.h_f[kept])
@@ -203,7 +203,7 @@ def run_seed_study(
     types = TypeBatch.repeat([SolutionType.from_id(tid) for tid in type_ids], m)
     seeds = np.tile(hi0 / r, len(type_ids)), np.tile(hf0 / r, len(type_ids))
     opts = dict(max_iters=scenario.options.max_iters, use_gradient=scenario.options.use_gradient)
-    res = newton(RayBatch.from_instance(inst, n), types, *seeds, DEFAULT_RESIDUAL_TOL, **opts)
+    res = newton(RayBatch.from_instance(inst), types, *seeds, **opts)
     conv, root_hi, root_hf = res.converged, res.h_i * r, res.h_f * r
     return [
         SeedStudyRow(
@@ -247,9 +247,7 @@ def run_gradient_study(n_cases: int, rng_seed: int) -> list[GradientStudyRow]:
     hi0 = seed_frac[:, 0] * span
     hf0 = seed_frac[:, 1] * span
 
-    rb = RayBatch.build(
-        (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (xf[:, 0], xf[:, 1], xf[:, 2]), (vf[:, 0], vf[:, 1], vf[:, 2]), n_cases
-    )
+    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), tuple(xf.T), tuple(vf.T))
     # per Jacobian mode, one batch over every (type, case), type-major
     tiled = rb.take(np.tile(np.arange(n_cases), len(ALL_TYPES)))
     types = TypeBatch.repeat(ALL_TYPES, n_cases)
@@ -257,9 +255,7 @@ def run_gradient_study(n_cases: int, rng_seed: int) -> list[GradientStudyRow]:
     h_limit = runaway_limit(float(span.max()))
     counts = {}
     for use_gradient in (True, False):
-        res = newton(
-            tiled, types, *seeds, DEFAULT_RESIDUAL_TOL, max_iters=100, use_gradient=use_gradient, h_limit=h_limit
-        )
+        res = newton(tiled, types, *seeds, max_iters=100, use_gradient=use_gradient, h_limit=h_limit)
         valid = res.converged & directionally_valid(types, eval_ahead(tiled, types, res.h_i, res.h_f))
         counts[use_gradient] = valid.reshape(len(ALL_TYPES), n_cases).sum(0)
     angles = np.arccos(np.clip(vf[:, 2], -1.0, 1.0))  # angle from the +z start heading

@@ -20,10 +20,10 @@ import time
 import numpy as np
 
 from dubins3d.geom import instance
-from dubins3d.oracle import GridWindow, build_contours, enumerate_all_types, enumerate_roots, refine_roots
+from dubins3d.oracle import GridWindow, enumerate_all_types, sample_contours
 from dubins3d.path import check_directionality, extract_path, verify_path
 from dubins3d.residual import ALL_TYPES, HPair, SolutionType, jacobian, residuals
-from dubins3d.scenarios import load_bundled
+from dubins3d.scenarios import SEED_SENSITIVITY_ROOT, SEED_SENSITIVITY_ROOT_TOL, SEED_SENSITIVITY_SCENARIO, load_bundled
 from dubins3d.solver import SolutionCandidate, SolverOptions, solve_all
 from dubins3d.studies import SweepSpec, run_gradient_study, run_sweep
 
@@ -74,7 +74,7 @@ def test_c1_planar_far():
 
 def test_c1_planar_close_counts():
     inst, cands, valid, _, wall = solved("planar_close")
-    no_t3 = enumerate_roots(inst, SolutionType.from_id(3), GridWindow.for_instance(inst))
+    no_t3 = enumerate_all_types(inst, GridWindow.for_instance(inst), (SolutionType.from_id(3),))[3]
     ok = len(valid) == 3 and len(no_t3) == 0 and wall < 1.0
     report("criterion 1: planar_close", ok, f"n_valid={len(valid)} type3_roots={len(no_t3)} wall={wall:.3f}s")
     assert len(valid) == 3
@@ -93,8 +93,8 @@ def test_c1_planar_close_recorded_invalid_type6():
     filtered = [(t, r) for t, _, _, r in root_table(invalid)]
     t6 = SolutionType.from_id(6)
     wide = GridWindow.square(2 * (inst.chord + 4.0 * inst.radius), 800)
-    t6_map = build_contours(inst, t6, wide)
-    t6_roots = refine_roots(inst, t6_map)
+    t6_map = next(sample_contours(inst, wide, (t6,)))
+    t6_roots = enumerate_all_types(inst, wide, (t6,))[6]
     t6_floor = residual_floor(t6_map)
     expected = [(5, "switched_forward"), (7, "switched_forward"), (8, "switched_forward")]
     ok = valid_ids == [1, 2, 4] and filtered == expected and not t6_roots and t6_floor >= 1.0
@@ -125,7 +125,7 @@ def test_c1_nonplanar_close_recorded_composition():
     valid_ids = sorted(c.type_id for c in valid)
     n_sw = sum(1 for c in valid if c.type_id >= 5)
     filtered_in_window = root_table(c for c in invalid if window.contains(c.hp))
-    no_switched = {tid: enumerate_roots(inst, SolutionType.from_id(tid), window) for tid in (5, 6)}
+    no_switched = enumerate_all_types(inst, window, map(SolutionType.from_id, (5, 6)))
     expected = [
         (1, -1.549, -6.968, "regular_backward"),
         (3, 5.396, -1.315, "regular_backward"),
@@ -180,12 +180,12 @@ def test_c1_nonplanar_close_2_recorded_types():
     got = sorted(c.type_id for c in valid)
     t1 = SolutionType.from_id(1)
     window = GridWindow.for_instance(inst)
-    cmap = build_contours(inst, t1, window)
-    t1_roots = refine_roots(inst, cmap)
+    cmap = next(sample_contours(inst, window, (t1,)))
+    t1_roots = enumerate_all_types(inst, window, (t1,))[1]
     cells = cmap.intersection_cells()
     h_i, h_f = cmap.h_i_nodes, cmap.h_f_nodes
     cell_windows = [GridWindow((h_i[i], h_i[i + 1]), (h_f[j], h_f[j + 1]), 32) for i, j in cells]
-    floor = min((residual_floor(build_contours(inst, t1, w)) for w in cell_windows), default=math.inf)
+    floor = min((residual_floor(next(sample_contours(inst, w, (t1,)))) for w in cell_windows), default=math.inf)
     expected_filtered = [
         (3, 0.458, -5.236, "regular_backward"),
         (5, -0.382, -1.496, "switched_forward"),
@@ -216,7 +216,7 @@ def test_c2_recorded_type6_root_count_in_default_window():
     inst = load_bundled("seed_sensitivity").instance
     t6 = SolutionType.from_id(6)
     window = GridWindow.for_instance(inst)
-    roots = enumerate_roots(inst, t6, window)
+    roots = enumerate_all_types(inst, window, (t6,))[t6.type_id]
     cands = [SolutionCandidate(t6, hp, *residuals(inst, t6, hp), 0, hp) for hp in roots]
     table = root_table(cands)
     expected = [
@@ -240,20 +240,21 @@ def test_c2_recorded_type6_root_count_in_default_window():
 
 
 def test_c2_two_valid_type6_roots_and_recorded_offsets():
-    inst = load_bundled("seed_sensitivity").instance
+    inst = load_bundled(SEED_SENSITIVITY_SCENARIO).instance
     t6 = SolutionType.from_id(6)
-    roots = enumerate_roots(inst, t6, GridWindow.for_instance(inst))
+    roots = enumerate_all_types(inst, GridWindow.for_instance(inst), (t6,))[6]
     valid = []
     for hp in roots:
         res, geo = residuals(inst, t6, hp)
         cand = SolutionCandidate(t6, hp, res, geo, 0, hp)
         if check_directionality(cand).valid:
             valid.append(hp)
-    recorded = [c for c in solve_all(inst) if abs(c.hp.h_i + 1.804) <= 1e-2 and abs(c.hp.h_f - 3.004) <= 1e-2]
+    (h_i, h_f), tol = SEED_SENSITIVITY_ROOT, SEED_SENSITIVITY_ROOT_TOL
+    recorded = [c for c in solve_all(inst) if abs(c.hp.h_i - h_i) <= tol and abs(c.hp.h_f - h_f) <= tol]
     ok = len(valid) == 2 and len(recorded) >= 1
     report("criterion 2: valid pair + recorded root", ok, f"valid_t6={len(valid)} recorded_found={len(recorded)}")
     assert len(valid) == 2
-    assert recorded, "solver did not reproduce the recorded root (-1.804, 3.004)"
+    assert recorded, f"solver did not reproduce the recorded root {SEED_SENSITIVITY_ROOT}"
 
 
 # ----------------------------------------------------------------------------

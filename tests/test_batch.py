@@ -53,7 +53,7 @@ def test_batch_matches_scalar_reference():
         # the kernel works in units of r: offsets in are divided by r, and
         # residuals and separations out are multiplied by it
         r = inst.radius
-        rb = RayBatch.from_instance(inst, 32)
+        rb = RayBatch.from_instance(inst)
         for stype in ALL_TYPES:
             p_i, p_f, J = eval_residuals(rb, stype, his / r, hfs / r, jac=True)
             p_i, p_f = p_i * r, p_f * r
@@ -91,7 +91,7 @@ def test_directionally_valid_boundary_and_singular():
 def test_fd_jacobian_close_to_analytic():
     rng = np.random.default_rng(12)
     inst = random_instance(rng)
-    rb = RayBatch.from_instance(inst, 64)
+    rb = RayBatch.from_instance(inst)
     his = rng.uniform(-4, 4, 64)
     hfs = rng.uniform(-4, 4, 64)
     for stype in ALL_TYPES[:2]:
@@ -104,9 +104,9 @@ def test_fd_jacobian_close_to_analytic():
 
 def test_newton_polishes_seeds_near_roots():
     inst = instance((0, 0, 0), (0, 0, 1), (-1, 0, 3), (1, 0, 1))
-    rb = RayBatch.from_instance(inst, 2)
+    rb = RayBatch.from_instance(inst)
     stype = ALL_TYPES[0]
-    res = newton(rb, stype, np.array([-0.3, 5.0]), np.array([-0.8, 5.0]), 1e-9)
+    res = newton(rb, stype, np.array([-0.3, 5.0]), np.array([-0.8, 5.0]))
     assert res.converged[0]
     assert max(abs(res.p_i[0]), abs(res.p_f[0])) <= 1e-9
     # re-check through the scalar path
@@ -116,11 +116,11 @@ def test_newton_polishes_seeds_near_roots():
 
 def test_newton_zero_iterations_at_root():
     inst = instance((0, 0, 0), (0, 0, 1), (-1, 0, 3), (1, 0, 1))
-    rb = RayBatch.from_instance(inst, 1)
+    rb = RayBatch.from_instance(inst)
     stype = ALL_TYPES[0]
-    first = newton(rb, stype, np.array([0.0]), np.array([0.0]), 1e-9)
+    first = newton(rb, stype, np.array([0.0]), np.array([0.0]))
     assert first.converged[0]
-    again = newton(rb, stype, first.h_i, first.h_f, 1e-9)
+    again = newton(rb, stype, first.h_i, first.h_f)
     assert again.converged[0]
     assert again.iterations[0] <= 2
 
@@ -137,20 +137,20 @@ def test_newton_gradient_flag_switches_jacobian_path(monkeypatch):
 
     monkeypatch.setattr(batch_mod, "eval_fd_jacobian", spy)
     inst = instance((0, 0, 0), (0, 0, 1), (-1, 0, 3), (1, 0, 1))
-    rb = RayBatch.from_instance(inst, 1)
-    res = newton(rb, ALL_TYPES[0], np.array([0.0]), np.array([0.0]), 1e-9, use_gradient=False)
+    rb = RayBatch.from_instance(inst)
+    res = newton(rb, ALL_TYPES[0], np.array([0.0]), np.array([0.0]), use_gradient=False)
     assert res.converged[0]
     assert calls["fd"] > 0
     calls["fd"] = 0
-    newton(rb, ALL_TYPES[0], np.array([0.0]), np.array([0.0]), 1e-9, use_gradient=True)
+    newton(rb, ALL_TYPES[0], np.array([0.0]), np.array([0.0]), use_gradient=True)
     assert calls["fd"] == 0
 
 
 def test_newton_instance_arrays_per_element():
     # one batch solving two different goal positions at once
     zs = np.array([3.0, 4.0])
-    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (np.array([-1.0, -1.0]), np.zeros(2), zs), (math.sqrt(0.5), 0.0, math.sqrt(0.5)), 2)
-    res = newton(rb, ALL_TYPES[0], np.zeros(2), np.zeros(2), 1e-9)
+    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (np.array([-1.0, -1.0]), np.zeros(2), zs), (math.sqrt(0.5), 0.0, math.sqrt(0.5)))
+    res = newton(rb, ALL_TYPES[0], np.zeros(2), np.zeros(2))
     assert res.converged.all()
     for k, z in enumerate(zs):
         inst = instance((0, 0, 0), (0, 0, 1), (-1, 0, z), (1, 0, 1))
@@ -172,7 +172,7 @@ def mixed_batch(rng, per=40):
     rays = [(u.start.position, u.start.direction, u.goal.position, u.goal.direction) for u in units]
     joined = lambda f: tuple(np.repeat([ray[f].as_tuple()[k] for ray in rays], per) for k in range(3))
     n = per * len(insts)
-    rb = RayBatch.build(joined(0), joined(1), joined(2), joined(3), n)
+    rb = RayBatch.build(joined(0), joined(1), joined(2), joined(3))
     stypes = [ALL_TYPES[t] for t in rng.integers(0, 8, n)]
     return rb, stypes, rng.uniform(-8, 8, n), rng.uniform(-8, 8, n)
 
@@ -210,7 +210,7 @@ def test_mixed_type_evaluations_equal_per_type_calls_bitwise():
             assert _same_bits(ahead[sel], sub_ahead), stype
             assert _same_bits(valid[sel], directionally_valid(stype, sub_ahead)), stype
             # a TypeBatch of one type is the same as the type itself
-            assert _same_bits(eval_ahead(sub, TypeBatch.build(stype, sel.size), hi[sel], hf[sel]), sub_ahead)
+            assert _same_bits(eval_ahead(sub, TypeBatch.repeat([stype], sel.size), hi[sel], hf[sel]), sub_ahead)
 
 
 @pytest.mark.parametrize("use_gradient,max_iters,h_limit", [(True, 100, 40.0), (False, 100, np.inf), (True, 4, np.inf)])
@@ -220,11 +220,11 @@ def test_mixed_type_newton_equals_per_type_newton_bitwise(use_gradient, max_iter
     rng = np.random.default_rng(22)
     rb, stypes, hi, hf = mixed_batch(rng, per=60)
     kw = dict(max_iters=max_iters, use_gradient=use_gradient, h_limit=h_limit)
-    fused = newton(rb, TypeBatch.repeat(stypes, 1), hi, hf, 1e-9, **kw)
-    assert 0 < fused.converged.sum() < len(rb)
+    fused = newton(rb, TypeBatch.repeat(stypes, 1), hi, hf, **kw)
+    assert 0 < fused.converged.sum() < hi.size
     fields = ("h_i", "h_f", "p_i", "p_f", "converged", "iterations")
     for stype, sel in per_type(stypes):
-        one = newton(rb.take(sel), stype, hi[sel], hf[sel], 1e-9, **kw)
+        one = newton(rb.take(sel), stype, hi[sel], hf[sel], **kw)
         for name in fields:
             assert _same_bits(getattr(fused, name)[sel], getattr(one, name)), (stype, name)
 
@@ -244,10 +244,10 @@ def test_newton_batch_equals_one_element_runs_bitwise(kw):
     # one is never padded, and elements never interact
     rng = np.random.default_rng(23)
     rb, stypes, hi, hf = mixed_batch(rng, per=12)
-    whole = newton(rb, TypeBatch.repeat(stypes, 1), hi, hf, 1e-9, **kw)
-    assert 0 < whole.converged.sum() < len(rb)
-    for q in range(len(rb)):
-        one = newton(rb.take(np.array([q])), stypes[q], hi[q : q + 1], hf[q : q + 1], 1e-9, **kw)
+    whole = newton(rb, TypeBatch.repeat(stypes, 1), hi, hf, **kw)
+    assert 0 < whole.converged.sum() < hi.size
+    for q in range(hi.size):
+        one = newton(rb.take(np.array([q])), stypes[q], hi[q : q + 1], hf[q : q + 1], **kw)
         for name in ("h_i", "h_f", "p_i", "p_f", "converged", "iterations"):
             assert _same_bits(getattr(whole, name)[q : q + 1], getattr(one, name)), (q, name)
 
@@ -289,7 +289,7 @@ def test_kernel_emits_no_runtime_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         zeros = np.zeros(8)
-        p_i, p_f, J = eval_residuals(RayBatch.from_instance(grazing, 8), TypeBatch.repeat(ALL_TYPES, 1), zeros, zeros, jac=True)
+        p_i, p_f, J = eval_residuals(RayBatch.from_instance(grazing), TypeBatch.repeat(ALL_TYPES, 1), zeros, zeros, jac=True)
         assert np.isfinite(p_i).all() and np.isfinite(p_f).all() and all(np.isfinite(j).all() for j in J)
         for kw in (dict(h_limit=40.0), dict(use_gradient=False)):
             rb, stypes, hi, hf = mixed_batch(rng)
@@ -298,6 +298,6 @@ def test_kernel_emits_no_runtime_warning():
             assert np.isnan(p_i).any() and np.isnan(J[1]).any()
             eval_fd_jacobian(rb, types, hi, hf)
             eval_ahead(rb, types, hi, hf)
-            newton(rb, types, hi, hf, 1e-9, **kw)
+            newton(rb, types, hi, hf, **kw)
         assert all(np.isnan(c.p_i).all() for c in sample_contours(collinear, GridWindow.square(6.0, 32)))
         run_sweep(SweepSpec("planar", ("angle", 0.0), steps=21))

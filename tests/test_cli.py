@@ -7,7 +7,15 @@ import pytest
 from dubins3d.cli import main
 from dubins3d.path import extract_path, verify_path
 from dubins3d.residual import HPair, SolutionType, residuals
-from dubins3d.scenarios import ReferenceExpectation, load_bundled, load_scenario, save_scenario
+from dubins3d.scenarios import (
+    SEED_SENSITIVITY_ROOT,
+    SEED_SENSITIVITY_ROOT_TOL,
+    SEED_SENSITIVITY_SCENARIO,
+    ReferenceExpectation,
+    load_bundled,
+    load_scenario,
+    save_scenario,
+)
 from dubins3d.solver import SolutionCandidate, SolverOptions
 
 
@@ -140,11 +148,11 @@ def test_direction_normalized_with_warning(tmp_path):
 
 
 def test_single_seed_flag(tmp_path):
-    scn = write_scenario(tmp_path, "seed_sensitivity")
+    scn = write_scenario(tmp_path, SEED_SENSITIVITY_SCENARIO)
     assert main(["solve", str(scn), "--seed", "-1.8", "3.0", "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "seed_sensitivity.json").read_text())
+    report = json.loads((tmp_path / f"{SEED_SENSITIVITY_SCENARIO}.json").read_text())
     t6 = [s for s in report["solutions"] if s["type_id"] == 6]
-    assert any(abs(s["h_i"] + 1.804) < 1e-2 for s in t6)
+    assert any(abs(s["h_i"] - SEED_SENSITIVITY_ROOT[0]) < SEED_SENSITIVITY_ROOT_TOL for s in t6)
 
 
 def test_sweep_csv_deterministic(tmp_path):

@@ -10,18 +10,14 @@ from dubins3d.oracle import (
     ContourMap,
     GridWindow,
     _cell_crossings,
-    build_contours,
     enumerate_all_types,
-    enumerate_roots,
-    refine_roots,
     sample_contours,
 )
 from dubins3d.path import check_directionality
-from dubins3d.residual import ALL_TYPES, REGULAR_TYPES, HPair, SolutionType, residuals
-from dubins3d.scenarios import load_bundled
+from dubins3d.residual import ALL_TYPES, REGULAR_TYPES, SWITCHED_TYPES, HPair, SolutionType, residuals
+from dubins3d.scenarios import SEED_SENSITIVITY_ROOT, SEED_SENSITIVITY_ROOT_TOL, SEED_SENSITIVITY_SCENARIO, load_bundled
 from dubins3d.solver import (
     DEFAULT_DEDUP_TOL,
-    DEFAULT_RESIDUAL_TOL,
     NotConverged,
     SolverOptions,
     dedup,
@@ -31,7 +27,7 @@ from dubins3d.solver import (
 
 PLANAR_FAR = load_bundled("planar_far").instance
 PLANAR_CLOSE = load_bundled("planar_close").instance
-SEED_SENSITIVITY = load_bundled("seed_sensitivity").instance
+SEED_SENSITIVITY = load_bundled(SEED_SENSITIVITY_SCENARIO).instance
 
 
 def test_window_validation():
@@ -46,7 +42,7 @@ def test_window_validation():
 def test_contours_have_both_curve_families():
     win = GridWindow.square(10.0, 200)
     for stype in REGULAR_TYPES:
-        cmap = build_contours(PLANAR_FAR, stype, win)
+        cmap = next(sample_contours(PLANAR_FAR, win, (stype,)))
         assert cmap.crossings_i.any()
         assert cmap.crossings_f.any()
         assert cmap.p_i.shape == (201, 201)
@@ -55,9 +51,9 @@ def test_contours_have_both_curve_families():
 
 def test_no_type3_intersection_for_planar_close():
     win = GridWindow.for_instance(PLANAR_CLOSE, resolution=400)
-    cmap = build_contours(PLANAR_CLOSE, SolutionType.from_id(3), win)
+    cmap = next(sample_contours(PLANAR_CLOSE, win, (SolutionType.from_id(3),)))
     assert cmap.intersection_cells().shape[0] == 0
-    assert enumerate_roots(PLANAR_CLOSE, SolutionType.from_id(3), win) == []
+    assert enumerate_all_types(PLANAR_CLOSE, win, (SolutionType.from_id(3),))[3] == []
 
 
 def test_far_separation_straightens_contours():
@@ -65,7 +61,7 @@ def test_far_separation_straightens_contours():
     # axis-aligned line: crossing columns (rows) become nearly constant
     far = instance((0, 0, -100), (1, 0, 0), (0, 0, 0), (1, 0, 0))
     win = GridWindow.square(8.0, 160)
-    cmap = build_contours(far, SolutionType.from_id(1), win)
+    cmap = next(sample_contours(far, win, (SolutionType.from_id(1),)))
     i_cells, j_cells = np.nonzero(cmap.crossings_i)
     assert i_cells.size > 0
     assert i_cells.max() - i_cells.min() <= 2  # p_i = 0 is near-vertical
@@ -76,7 +72,7 @@ def test_far_separation_straightens_contours():
 
 def test_planar_far_has_exactly_four_regular_roots():
     win = GridWindow.square(10.0, 400)
-    per_type = {t.type_id: enumerate_roots(PLANAR_FAR, t, win) for t in REGULAR_TYPES}
+    per_type = enumerate_all_types(PLANAR_FAR, win, REGULAR_TYPES)
     # one valid root per regular type; type 3 carries one extra (filtered) root
     for tid in (1, 2, 4):
         assert len(per_type[tid]) == 1
@@ -96,12 +92,12 @@ def test_planar_far_has_exactly_four_regular_roots():
 def test_seed_sensitivity_type6_roots():
     # ground truth for the default window: three roots of the switched (+,-)
     # system, two of them directionally valid, one of which sits at the
-    # recorded near-degenerate offsets (-1.804, 3.004)
+    # recorded near-degenerate offsets SEED_SENSITIVITY_ROOT
     from dubins3d.solver import SolutionCandidate
 
     win = GridWindow.for_instance(SEED_SENSITIVITY)
     t6 = SolutionType.from_id(6)
-    roots = enumerate_roots(SEED_SENSITIVITY, t6, win)
+    roots = enumerate_all_types(SEED_SENSITIVITY, win, (t6,))[t6.type_id]
     assert len(roots) == 3
     flags = []
     for hp in roots:
@@ -109,11 +105,12 @@ def test_seed_sensitivity_type6_roots():
         cand = SolutionCandidate(t6, hp, res, geo, 0, hp)
         flags.append(check_directionality(cand).valid)
     assert sum(flags) == 2
-    assert any(abs(hp.h_i + 1.804) < 1e-2 and abs(hp.h_f - 3.004) < 1e-2 for hp in roots)
+    (h_i, h_f), tol = SEED_SENSITIVITY_ROOT, SEED_SENSITIVITY_ROOT_TOL
+    assert any(abs(hp.h_i - h_i) < tol and abs(hp.h_f - h_f) < tol for hp in roots)
 
 
 def _refine_per_cell(inst, cmap):
-    """Scalar reference for refine_roots: one solve_type per intersection
+    """Scalar reference for enumerate_all_types: one solve_type per intersection
     cell, seeded at its centre, kept when inside the window and first seen."""
     opts = SolverOptions(max_iters=60, seed=HPair(0.0, 0.0))
     roots = []
@@ -141,8 +138,8 @@ def test_batched_refine_matches_per_cell_solve_type():
     # just outside it, which both paths must discard
     cases.append((SEED_SENSITIVITY, t6, GridWindow.square(3.0, 64)))
     for inst, stype, window in cases:
-        cmap = build_contours(inst, stype, window)
-        batched = refine_roots(inst, cmap)
+        cmap = next(sample_contours(inst, window, (stype,)))
+        batched = enumerate_all_types(inst, window, (stype,))[stype.type_id]
         scalar = _refine_per_cell(inst, cmap)
         assert len(batched) == len(scalar), (stype, batched, scalar)
         for a, b in zip(batched, scalar):
@@ -152,7 +149,7 @@ def test_batched_refine_matches_per_cell_solve_type():
 def test_roots_reevaluate_below_tolerance():
     win = GridWindow.for_instance(PLANAR_CLOSE)
     for stype in ALL_TYPES:
-        for hp in enumerate_roots(PLANAR_CLOSE, stype, win):
+        for hp in enumerate_all_types(PLANAR_CLOSE, win, (stype,))[stype.type_id]:
             res, _ = residuals(PLANAR_CLOSE, stype, hp)
             assert res.max_abs() <= 1e-9
 
@@ -163,8 +160,8 @@ def test_resolution_refinement_keeps_roots():
         coarse_win = GridWindow.for_instance(inst, resolution=128)
         fine_win = GridWindow.for_instance(inst, resolution=256)
         for stype in ALL_TYPES:
-            coarse = enumerate_roots(inst, stype, coarse_win)
-            fine = enumerate_roots(inst, stype, fine_win)
+            coarse = enumerate_all_types(inst, coarse_win, (stype,))[stype.type_id]
+            fine = enumerate_all_types(inst, fine_win, (stype,))[stype.type_id]
             for hp in coarse:
                 assert any(max(abs(hp.h_i - o.h_i), abs(hp.h_f - o.h_f)) < 1e-6 for o in fine)
 
@@ -178,7 +175,7 @@ def test_agreement_with_solver_on_random_instances():
         sol = solve_all(inst, opts)
         for stype in ALL_TYPES:
             mine = [c.hp for c in sol if c.stype == stype and win.contains(c.hp)]
-            oracle = enumerate_roots(inst, stype, win)
+            oracle = enumerate_all_types(inst, win, (stype,))[stype.type_id]
             assert len(mine) == len(oracle), (inst, stype, mine, oracle)
             for hp in mine:
                 assert any(max(abs(hp.h_i - o.h_i), abs(hp.h_f - o.h_f)) < 1e-6 for o in oracle)
@@ -203,9 +200,9 @@ def random_noncollinear(rng):
 def test_collinear_instance_yields_empty_fields():
     col = instance((0, 0, 0), (0, 0, 1), (0, 0, 5), (0, 0, 1))
     win = GridWindow.square(5.0, 64)
-    cmap = build_contours(col, SolutionType.from_id(1), win)
+    cmap = next(sample_contours(col, win, (SolutionType.from_id(1),)))
     assert cmap.singular.all()
-    assert enumerate_roots(col, SolutionType.from_id(1), win) == []
+    assert enumerate_all_types(col, win, (SolutionType.from_id(1),))[1] == []
 
 
 def test_enumerate_all_types_keys():
@@ -249,7 +246,7 @@ def _per_type_contours(inst, stype, window):
     r = inst.radius
     hi_nodes, hf_nodes = window.nodes()
     a, b = np.meshgrid(hi_nodes / r, hf_nodes / r, indexing="ij")
-    p_i, p_f, _ = eval_residuals(RayBatch.from_instance(inst, a.size), stype, a.ravel(), b.ravel())
+    p_i, p_f, _ = eval_residuals(RayBatch.from_instance(inst), stype, a.ravel(), b.ravel())
     p_i, p_f = p_i.reshape(a.shape), p_f.reshape(a.shape)
     singular = ~(np.isfinite(p_i) & np.isfinite(p_f))
     cross_i, cross_f = _minmax_crossings(p_i), _minmax_crossings(p_f)
@@ -261,14 +258,15 @@ def _same_bits(a, b):
 
 
 def _refine_one_map(inst, cmap):
-    """refine_roots as one Newton batch for the map's type alone, merged on
-    its own: the per-map path the batch over all types replaced."""
+    """The roots of one map, refined by one Newton batch for its type alone
+    and merged on their own: the per-map path the batch over all types
+    replaced."""
     r = inst.radius
     i, j = cmap.intersection_cells().T
     hi0 = 0.5 * (cmap.h_i_nodes[i] + cmap.h_i_nodes[i + 1])
     hf0 = 0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1])
-    rb = RayBatch.from_instance(inst, hi0.size)
-    res = newton(rb, cmap.stype, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, max_iters=60)
+    rb = RayBatch.from_instance(inst)
+    res = newton(rb, cmap.stype, hi0 / r, hf0 / r, max_iters=60)
     res.h_i *= r
     res.h_f *= r
     cand = np.flatnonzero(res.converged & cmap.window.contains(res, 1e-9 * r))
@@ -276,25 +274,47 @@ def _refine_one_map(inst, cmap):
     return sorted((HPair(float(res.h_i[q]), float(res.h_f[q])) for q in kept), key=lambda p: (p.h_i, p.h_f))
 
 
-def test_sample_contours_bitwise_equals_per_type_sampling():
+def _equivalence_cases():
+    """(instance, window) for the bundled scenarios and eight random pairs
+    scaled from 1e-3 to 1e3."""
     rng = np.random.default_rng(5)
     cases = [load_bundled(name).instance for name in BUNDLED]
     cases += [scaled(random_noncollinear(rng), r) for r in (1e-3, 0.5, 2.0, 1e3) for _ in range(2)]
+    return [(inst, GridWindow.for_instance(inst, 128)) for inst in cases]
+
+
+def test_sample_contours_bitwise_equals_per_type_sampling():
     fields = ("h_i_nodes", "h_f_nodes", "p_i", "p_f", "singular", "crossings_i", "crossings_f")
-    for inst in cases:
-        window = GridWindow.for_instance(inst, 128)
+    for inst, window in _equivalence_cases():
         maps = list(sample_contours(inst, window))
         assert [c.stype for c in maps] == list(ALL_TYPES)
         refs = {t: _per_type_contours(inst, t, window) for t in ALL_TYPES}
-        for cmap in maps + [build_contours(inst, t, window) for t in ALL_TYPES]:
+        for cmap in maps + [next(sample_contours(inst, window, (t,))) for t in ALL_TYPES]:
             ref = refs[cmap.stype]
             for name in fields:
                 assert _same_bits(getattr(cmap, name), getattr(ref, name)), (inst, cmap.stype, name)
         every = enumerate_all_types(inst, window)
-        assert every == {t.type_id: enumerate_roots(inst, t, window) for t in ALL_TYPES}
-        assert every == {t.type_id: refine_roots(inst, refs[t]) for t in ALL_TYPES}
         # one Newton batch over all eight maps' cells equals one per map
         assert every == {t.type_id: _refine_one_map(inst, refs[t]) for t in ALL_TYPES}
+
+
+@pytest.fixture(scope="module")
+def all_types_roots():
+    """(instance, window, roots of all eight types) per equivalence case."""
+    return [(inst, window, enumerate_all_types(inst, window)) for inst, window in _equivalence_cases()]
+
+
+SUBSETS = {f"type{t.type_id}": (t,) for t in ALL_TYPES} | {"regular": REGULAR_TYPES, "switched": SWITCHED_TYPES, "none": ()}
+
+
+@pytest.mark.parametrize("subset", list(SUBSETS.values()), ids=list(SUBSETS))
+def test_enumerate_all_types_on_a_subset_equals_the_all_types_roots_restricted(subset, all_types_roots):
+    for inst, window, every in all_types_roots:
+        got = enumerate_all_types(inst, window, subset)
+        assert got == {t.type_id: every[t.type_id] for t in subset}
+        # and each type's roots are those refined from the per-type sampler's map
+        for t in subset:
+            assert got[t.type_id] == _refine_one_map(inst, _per_type_contours(inst, t, window))
 
 
 def test_sample_contours_yields_requested_types_by_family():
@@ -337,7 +357,7 @@ def test_window_slack_is_in_units_of_r():
         window = GridWindow(
             (s * base.h_i_range[0], s * (-0.1157 - 0.05) * r), tuple(s * x for x in base.h_f_range), base.resolution
         )
-        found[s] = [(hp.h_i / (s * r), hp.h_f / (s * r)) for hp in enumerate_roots(inst, t6, window)]
+        found[s] = [(hp.h_i / (s * r), hp.h_f / (s * r)) for hp in enumerate_all_types(inst, window, (t6,))[t6.type_id]]
     assert len(found[1.0]) == 2
     assert len(found[1e-8]) == 2
     for a, b in zip(found[1.0], found[1e-8]):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dubins3d.geom import Configuration, UnitVec3, Vec3, instance, normalize, point_line_distance
-from dubins3d.oracle import GridWindow, enumerate_roots
+from dubins3d.oracle import GridWindow, enumerate_all_types
 from dubins3d.residual import (
     ALL_TYPES,
     CoincidentHPoints,
@@ -176,7 +176,7 @@ def test_residuals_vanish_at_enumerated_roots():
     window = GridWindow.square(10.0, 400)
     total = 0
     for stype in ALL_TYPES[:4]:
-        roots = enumerate_roots(PLANAR_FAR, stype, window)
+        roots = enumerate_all_types(PLANAR_FAR, window, (stype,))[stype.type_id]
         assert len(roots) >= 1
         best = roots[0]
         res, _ = residuals(PLANAR_FAR, stype, best)

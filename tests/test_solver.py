@@ -181,9 +181,9 @@ def solve_all_per_type(inst, opts):
         hi0, hf0 = seed_grid(inst.span)
     else:
         hi0, hf0 = np.array([opts.seed.h_i]), np.array([opts.seed.h_f])
-    rb = RayBatch.from_instance(inst, len(hi0))
+    rb = RayBatch.from_instance(inst)
     kw = dict(max_iters=opts.max_iters, use_gradient=opts.use_gradient, h_limit=runaway_limit(inst.span / r))
-    runs = [newton(rb, t, hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL, **kw) for t in ALL_TYPES]
+    runs = [newton(rb, t, hi0 / r, hf0 / r, **kw) for t in ALL_TYPES]
     k = len(hi0)
     group = np.repeat(np.arange(len(ALL_TYPES)), k)
     h_i = np.concatenate([run.h_i for run in runs])

@@ -10,7 +10,7 @@ from dubins3d.geom import instance
 from dubins3d.path import check_directionality
 from dubins3d.residual import ALL_TYPES, SolutionType
 from dubins3d.scenarios import Scenario, load_bundled
-from dubins3d.solver import DEFAULT_RESIDUAL_TOL, CollinearInstance, SolverOptions, dedup, runaway_limit, solve_all
+from dubins3d.solver import CollinearInstance, SolverOptions, dedup, runaway_limit, solve_all
 from dubins3d.studies import (
     SweepSpec,
     axis_values,
@@ -247,7 +247,7 @@ def test_fused_seed_study_equals_per_type_loop():
     hi0, hf0 = a.ravel(), b.ravel()
     want = []
     for tid in (6, 1, 8):
-        res = batch.newton(RayBatch.from_instance(inst, hi0.size), SolutionType.from_id(tid), hi0 / r, hf0 / r, DEFAULT_RESIDUAL_TOL)
+        res = batch.newton(RayBatch.from_instance(inst), SolutionType.from_id(tid), hi0 / r, hf0 / r)
         for q in range(hi0.size):
             conv = bool(res.converged[q])
             root = (float(res.h_i[q] * r), float(res.h_f[q] * r)) if conv else (None, None)
@@ -265,12 +265,12 @@ def test_fused_gradient_study_equals_per_type_loop():
     chord = np.linalg.norm(xf, axis=1)
     span = chord + 4.0
     seed = rng.uniform(-1.0, 1.0, size=(n, 2))
-    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), tuple(xf.T), tuple(vf.T), n)
+    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), tuple(xf.T), tuple(vf.T))
     counts = {True: np.zeros(n, np.int64), False: np.zeros(n, np.int64)}
     for stype in ALL_TYPES:
         for use_gradient in (True, False):
             res = batch.newton(
-                rb, stype, seed[:, 0] * span, seed[:, 1] * span, DEFAULT_RESIDUAL_TOL,
+                rb, stype, seed[:, 0] * span, seed[:, 1] * span,
                 use_gradient=use_gradient, h_limit=runaway_limit(float(span.max())),
             )
             counts[use_gradient] += res.converged & directionally_valid(stype, eval_ahead(rb, stype, res.h_i, res.h_f))

@@ -66,7 +66,7 @@ def test_kernel_reversal_symmetry(pair, radius, rng_seed):
     rev = reversed_path(inst)
     rng = np.random.default_rng(rng_seed)
     hi, hf = rng.uniform(-8, 8, (2, 16))
-    batch, rev_batch = RayBatch.from_instance(inst, 16), RayBatch.from_instance(rev, 16)
+    batch, rev_batch = RayBatch.from_instance(inst), RayBatch.from_instance(rev)
     for stype in ALL_TYPES:
         p_i, p_f, _ = eval_residuals(batch, stype, hi, hf)
         q_i, q_f, _ = eval_residuals(rev_batch, REVERSED[stype], -hf, -hi)
