@@ -21,6 +21,12 @@ formulas stay in `residual`, the independent reference the tests pin this
 kernel against and through which `solve_all` re-verifies its roots.
 Singular evaluations (d <= EPS_SING, or sqrt(Q) <= EPS_SING d at either
 end) yield NaN and the owning element is dropped.
+
+Numpy call overhead, not arithmetic, sets the kernel's cost, so `newton`
+makes few, large calls: its line search tests a ladder of step sizes 2^-k
+for every pending element in one call, as many as fit in the Newton batch
+it serves, and a batch of many instances gathers its invariants once per
+evaluation.
 """
 
 from __future__ import annotations
@@ -33,8 +39,10 @@ import numpy as np
 from .geom import EPS_ZERO, ProblemInstance
 from .residual import ALL_TYPES, EPS_SING, SolutionType
 
-# Step control: halve the Newton step until the residual norm decreases, at
-# most this many times, then give up on the element.
+# Step control: take the first of the steps 2^-k times the Newton step,
+# k < MAX_HALVINGS, that lowers the residual norm, else give up on the
+# element.  One kernel call tests several k for every pending element, as
+# many as fit in the Newton batch (see _line_search).
 MAX_HALVINGS = 20
 # Elements whose residual norm has not improved by 1% over this many
 # iterations are abandoned as non-converging (they hug singular ridges).
@@ -84,11 +92,6 @@ class RayBatch:
         """The elements at the indices sel."""
         return RayBatch(self.inv, None if self.row is None else self.row[sel])
 
-    def per_element(self, start: int, stop: int):
-        """Invariants start to stop - 1 of every element: floats, or a
-        (stop - start, N) array gathered by row."""
-        return self.inv[start:stop] if self.row is None else np.take(self.inv[start:stop], self.row, axis=1)
-
 
 # direction, start_sign and end_sign of every type, by type_id - 1
 _SIGNS = np.array([(t.direction, t.start_sign, t.end_sign) for t in ALL_TYPES]).T
@@ -122,7 +125,7 @@ def _take_types(stype: SolutionType | TypeBatch, sel: np.ndarray) -> SolutionTyp
 
 
 def _sq_norm(u, e, h):
-    """|u + h e|^2 as the sum of its squared components."""
+    """|u + h e|^2 for float vectors u and e, as (x^2 + y^2) + z^2."""
     x, y, z = u[0] + h * e[0], u[1] + h * e[1], u[2] + h * e[2]
     return x * x + y * y + z * z
 
@@ -130,14 +133,25 @@ def _sq_norm(u, e, h):
 def frame(batch: RayBatch, hi, hf):
     """(A, B, c, d, Q_i, Q_f, sqrt(Q_i), sqrt(Q_f)) at the offsets, d NaN
     where the geometry is singular, so all formed from it is NaN there with
-    no division by zero.  Q_i is formed per h_f and Q_f per h_i, so a column
-    of h_i and a row of h_f give them per node and the rest per grid point.
+    no division by zero.
+
+    One instance (floats): Q_i is formed per h_f and Q_f per h_i, so a
+    column of h_i and a row of h_f give them per node and the rest per grid
+    point.  Many instances: one gather of all 12 invariants, and each Q as
+    the sum over the (3, N) block of squares, (x^2 + y^2) + z^2 as in the
+    float path, so both paths give the same bits.
     """
-    e = batch.per_element(9, 12)
-    q_i = _sq_norm(batch.per_element(3, 6), e, hf)
-    q_f = _sq_norm(batch.per_element(6, 9), e, hi)
-    # c on its own: a view of a, b, c would keep all three gathered
-    (a, b), (c,) = batch.per_element(0, 2), batch.per_element(2, 3)
+    if batch.row is None:
+        a, b, c = batch.inv[:3]
+        e = batch.inv[9:12]
+        q_i = _sq_norm(batch.inv[3:6], e, hf)
+        q_f = _sq_norm(batch.inv[6:9], e, hi)
+    else:
+        g = np.take(batch.inv, batch.row, axis=1)
+        # c copied: a view would keep all of g alive with it
+        a, b, c, e = g[0], g[1], g[2].copy(), g[9:12]
+        q_i = np.square(g[3:6] + hf * e).sum(axis=0)
+        q_f = np.square(g[6:9] + hi * e).sum(axis=0)
     # B mirrors A, so reversing the path (ends swapped, directions negated)
     # swaps A and B exactly
     A = a + c * hf - hi
@@ -241,32 +255,47 @@ def _pad(pos: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _line_search(batch, stype, hi, hf, p_i, p_f, fn, dhi, dhf, live):
-    """Halve the steps of the first `live` elements until the residual norm
-    drops below fn, at most MAX_HALVINGS times; returns where a step was
-    accepted, and writes accepted steps into hi, hf, p_i, p_f and fn (all
-    pending elements share one step length)."""
-    accepted = np.zeros(hi.size, bool)
+    """Take for each of the first `live` elements the first step 2^-k
+    (dhi, dhf), k < MAX_HALVINGS, that lowers the residual norm below fn,
+    and write it into hi, hf, p_i, p_f and fn.
+
+    Returns the halvings k spent per position: MAX_HALVINGS where no step
+    was accepted, and at every position from `live` on (copies, not
+    searched).  Each kernel call tests a ladder of consecutive step sizes
+    for every pending element, as many as fit in the batch it serves
+    (hi.size // pending, at least one, at most the halvings left), so a
+    call never holds more elements than the Newton batch.  Each 2^-k is
+    exact, so the result is that of halving one step at a time.
+    """
+    spent = np.full(hi.size, MAX_HALVINGS)
     pend = np.arange(live)
-    lam = 1.0
-    for _ in range(MAX_HALVINGS):
-        if pend.size == 0:
-            break
-        at = _pad(pend, hi.size)
+    k = 0
+    while pend.size and k < MAX_HALVINGS:
+        n = pend.size
+        rungs = max(1, min(hi.size // n, MAX_HALVINGS - k))
+        # rung-major: flat position j tests element pend[j % n] at 2^-(k + j // n)
+        flat = _pad(np.arange(n * rungs), hi.size)
+        at = pend[flat % n]
+        lam = np.ldexp(1.0, -(k + flat // n))
         thi = hi[at] + lam * dhi[at]
         thf = hf[at] + lam * dhf[at]
         tpi, tpf, _ = eval_residuals(batch.take(at), _take_types(stype, at), thi, thf)
         tfn = np.hypot(tpi, tpf)
-        good = np.isfinite(tfn) & (tfn < fn[at])
-        sel = at[good]
-        hi[sel] = thi[good]
-        hf[sel] = thf[good]
-        p_i[sel] = tpi[good]
-        p_f[sel] = tpf[good]
-        fn[sel] = tfn[good]
-        accepted[sel] = True
-        pend = pend[~good[: pend.size]]
-        lam *= 0.5
-    return accepted
+        good = (np.isfinite(tfn) & (tfn < fn[at]))[: n * rungs].reshape(rungs, n)
+        hit = good.any(axis=0)
+        col = np.flatnonzero(hit)
+        first = good.argmax(axis=0)[col]
+        src = first * n + col
+        sel = pend[col]
+        hi[sel] = thi[src]
+        hf[sel] = thf[src]
+        p_i[sel] = tpi[src]
+        p_f[sel] = tpf[src]
+        fn[sel] = tfn[src]
+        spent[sel] = k + first
+        pend = pend[~hit]
+        k += rungs
+    return spent
 
 
 @dataclass
@@ -277,6 +306,10 @@ class NewtonResult:
     p_f: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
+    # step halvings spent by the element's line searches, summed over its
+    # iterations: a full step counts 0, a search with no accepted step
+    # MAX_HALVINGS
+    halvings: np.ndarray
 
     def max_abs(self) -> np.ndarray:
         """max(|p_i|, |p_f|) per element (NaN where not converged)."""
@@ -312,6 +345,7 @@ def newton(
         p_f=np.full(n_total, np.nan),
         converged=np.zeros(n_total, bool),
         iterations=np.zeros(n_total, np.int64),
+        halvings=np.zeros(n_total, np.int64),
     )
     # positions [0, live) hold distinct elements, the rest copies of them
     idx, live = np.arange(n_total), n_total
@@ -374,7 +408,9 @@ def newton(
         dhf = (-cpf * jii + cpi * jfi) / det
         del jii, jif, jfi, jff, det
         # updated in place: shrink() made these arrays, and nothing else holds them
-        keep = _line_search(cur, types, chi, chf, cpi, cpf, cfn, dhi, dhf, live)
+        spent = _line_search(cur, types, chi, chf, cpi, cpf, cfn, dhi, dhf, live)
+        out.halvings[idx[:live]] += spent[:live]
+        keep = spent < MAX_HALVINGS
         if len(hist) >= PLATEAU_WINDOW:
             # never plateau-kill an element that just crossed the tolerance
             near = np.fmax(np.abs(cpi), np.abs(cpf)) <= DEFAULT_RESIDUAL_TOL

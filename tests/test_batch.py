@@ -1,5 +1,6 @@
 """The vectorized evaluation core must agree with the scalar reference."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,13 +9,16 @@ import pytest
 
 from dubins3d import batch as batch_mod
 from dubins3d.batch import (
+    MAX_HALVINGS,
     PAD_STEP,
+    NewtonResult,
     RayBatch,
     TypeBatch,
     directionally_valid,
     eval_ahead,
     eval_fd_jacobian,
     eval_residuals,
+    frame,
     _pad,
     newton,
 )
@@ -164,6 +168,9 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+NEWTON_FIELDS = tuple(f.name for f in dataclasses.fields(NewtonResult))
+
+
 def mixed_batch(rng, per=40):
     """Elements on six random pairs and one collinear (everywhere singular)
     pair, each element with a random type and random offsets in units of r."""
@@ -222,10 +229,9 @@ def test_mixed_type_newton_equals_per_type_newton_bitwise(use_gradient, max_iter
     kw = dict(max_iters=max_iters, use_gradient=use_gradient, h_limit=h_limit)
     fused = newton(rb, TypeBatch.repeat(stypes, 1), hi, hf, **kw)
     assert 0 < fused.converged.sum() < hi.size
-    fields = ("h_i", "h_f", "p_i", "p_f", "converged", "iterations")
     for stype, sel in per_type(stypes):
         one = newton(rb.take(sel), stype, hi[sel], hf[sel], **kw)
-        for name in fields:
+        for name in NEWTON_FIELDS:
             assert _same_bits(getattr(fused, name)[sel], getattr(one, name)), (stype, name)
 
 
@@ -248,7 +254,7 @@ def test_newton_batch_equals_one_element_runs_bitwise(kw):
     assert 0 < whole.converged.sum() < hi.size
     for q in range(hi.size):
         one = newton(rb.take(np.array([q])), stypes[q], hi[q : q + 1], hf[q : q + 1], **kw)
-        for name in ("h_i", "h_f", "p_i", "p_f", "converged", "iterations"):
+        for name in NEWTON_FIELDS:
             assert _same_bits(getattr(whole, name)[q : q + 1], getattr(one, name)), (q, name)
 
 
@@ -274,6 +280,88 @@ def test_newton_evaluates_ladder_sizes_only(monkeypatch):
     # 8 types x 82 seeds, then ladder sizes only
     assert 656 in sizes and len(sizes) > 5
     assert all(s == 656 or (s <= PAD_STEP and s & (s - 1) == 0) or s % PAD_STEP == 0 for s in sizes), sorted(sizes)
+
+
+def sequential_line_search(batch, stype, hi, hf, p_i, p_f, fn, dhi, dhf, live):
+    """The line search without the step ladder: all pending elements try one
+    step length per kernel call, halved after every call."""
+    spent = np.full(hi.size, MAX_HALVINGS)
+    pend = np.arange(live)
+    lam = 1.0
+    for k in range(MAX_HALVINGS):
+        if pend.size == 0:
+            break
+        at = _pad(pend, hi.size)
+        thi = hi[at] + lam * dhi[at]
+        thf = hf[at] + lam * dhf[at]
+        tpi, tpf, _ = batch_mod.eval_residuals(batch.take(at), batch_mod._take_types(stype, at), thi, thf)
+        tfn = np.hypot(tpi, tpf)
+        good = np.isfinite(tfn) & (tfn < fn[at])
+        sel = at[good]
+        hi[sel] = thi[good]
+        hf[sel] = thf[good]
+        p_i[sel] = tpi[good]
+        p_f[sel] = tpf[good]
+        fn[sel] = tfn[good]
+        spent[sel] = k
+        pend = pend[~good[: pend.size]]
+        lam *= 0.5
+    return spent
+
+
+def many_instance_batch(rng, n=160):
+    """n random pairs in units of r, one element each."""
+    pos = lambda: tuple(rng.uniform(-6, 6, (3, n)))
+    unit = lambda: tuple((v := rng.normal(size=(3, n))) / np.linalg.norm(v, axis=0))
+    return RayBatch.build(pos(), unit(), pos(), unit()), rng.uniform(-8, 8, n), rng.uniform(-8, 8, n)
+
+
+@pytest.mark.parametrize("kw", [dict(h_limit=40.0), dict(use_gradient=False), dict(max_iters=4)])
+def test_step_ladder_equals_sequential_halving_bitwise(kw, monkeypatch):
+    rng = np.random.default_rng(26)
+    rb, stypes, hi, hf = mixed_batch(rng, per=30)
+    many, mhi, mhf = many_instance_batch(rng)
+    cases = [(rb, TypeBatch.repeat(stypes, 1), hi, hf), (many, ALL_TYPES[2], mhi, mhf)]
+    calls = {"n": 0}
+    real = batch_mod.eval_residuals
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(batch_mod, "eval_residuals", counting)
+    ladder = [newton(*case, **kw) for case in cases]
+    ladder_calls, calls["n"] = calls["n"], 0
+    monkeypatch.setattr(batch_mod, "_line_search", sequential_line_search)
+    for case, got in zip(cases, ladder):
+        want = newton(*case, **kw)
+        assert (want.halvings > 0).any() and 0 < want.converged.sum() < want.converged.size
+        for name in NEWTON_FIELDS:
+            assert _same_bits(getattr(got, name), getattr(want, name)), name
+    assert ladder_calls < calls["n"]
+
+
+def test_many_instance_frame_equals_single_instance_frame_bitwise():
+    # the collinear pair of the mixed batch is singular everywhere
+    rng = np.random.default_rng(27)
+    rb, _, hi, hf = mixed_batch(rng, per=8)
+    many = frame(rb, hi, hf)
+    assert np.isnan(many[3]).any() and np.isfinite(many[3]).any()
+    for q in range(hi.size):
+        one = frame(RayBatch(tuple(float(v) for v in rb.inv[:, rb.row[q]]), None), hi[q : q + 1], hf[q : q + 1])
+        for got, want in zip(many, one):
+            assert _same_bits(got[q : q + 1], np.broadcast_to(want, (1,))), q
+    # a column of h_i and a row of h_f on one planar instance, singular on
+    # the row h_f = -1 (w parallel to v_i) and the column h_i = 1 (w
+    # parallel to v_f)
+    single = RayBatch.from_instance(instance((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)))
+    col, row = np.linspace(-3, 3, 7)[:, None], np.linspace(-4, 2, 7)[None, :]
+    grid = frame(single, col, row)
+    h_i, h_f = (np.ravel(v) for v in np.broadcast_arrays(col, row))
+    flat = frame(RayBatch(np.array(single.inv)[:, None], np.zeros(h_i.size, np.intp)), h_i, h_f)
+    assert np.isnan(flat[3]).sum() == 13 and np.isfinite(flat[3]).any()
+    for got, want in zip(grid, flat):
+        assert _same_bits(np.broadcast_to(got, (col.size, row.size)).ravel(), want)
 
 
 def test_kernel_emits_no_runtime_warning():

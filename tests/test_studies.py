@@ -192,7 +192,7 @@ def test_gradient_study_columns_sane():
     assert ge >= 0.8 * len(rows)
 
 
-NEWTON_FIELDS = ("h_i", "h_f", "p_i", "p_f", "converged", "iterations")
+NEWTON_FIELDS = ("h_i", "h_f", "p_i", "p_f", "converged", "iterations", "halvings")
 
 
 def _same_bits(a, b):
