@@ -3,9 +3,12 @@
 One kernel serves all types from many seeds on one problem (multistart),
 seeds on many problems at once (sweeps) and the oracle's grid fields, on
 instances scaled to unit radius: every length here is in units of r.  A
-batch is a RayBatch of problem data and a type, or a TypeBatch of types,
-with the offset arrays setting its element count; `newton` is the one
-iteration over it, with the stopping tolerance DEFAULT_RESIDUAL_TOL.
+batch is a RayBatch of problem data, the type codes of its elements
+(type_id - 1, an int8 array indexed as the offsets are; an evaluation also
+takes one code for all) and the offset arrays, which set its element
+count.  `newton` is the one iteration over it, with the stopping tolerance
+DEFAULT_RESIDUAL_TOL, and `solver.multistart` lays out the batches of
+(type, instance, seed) elements that the solver and the studies run.
 
 The tangency system depends on a start/goal pair only through rigid-motion
 invariants: with D = x_f - x_i, a = D.v_i, b = D.v_f, c = v_i.v_f and the
@@ -31,13 +34,12 @@ evaluation.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .geom import EPS_ZERO, ProblemInstance
-from .residual import ALL_TYPES, EPS_SING, SolutionType
+from .residual import ALL_TYPES, EPS_SING
 
 # Step control: take the first of the steps 2^-k times the Newton step,
 # k < MAX_HALVINGS, that lowers the residual norm, else give up on the
@@ -93,35 +95,8 @@ class RayBatch:
         return RayBatch(self.inv, None if self.row is None else self.row[sel])
 
 
-# direction, start_sign and end_sign of every type, by type_id - 1
+# direction, start_sign and end_sign of every type, by type code (type_id - 1)
 _SIGNS = np.array([(t.direction, t.start_sign, t.end_sign) for t in ALL_TYPES]).T
-
-
-@dataclass(frozen=True)
-class TypeBatch:
-    """Per-element solution types as (N,) int8 codes, type_id - 1.  The
-    evaluations read a type only through direction (-1.0 where switched),
-    start_sign and end_sign: scalars on a `SolutionType`, (N,) arrays here.
-    """
-
-    code: np.ndarray
-
-    direction = property(lambda self: _SIGNS[0][self.code])
-    start_sign = property(lambda self: _SIGNS[1][self.code])
-    end_sign = property(lambda self: _SIGNS[2][self.code])
-
-    @classmethod
-    def repeat(cls, stypes: Sequence[SolutionType], counts) -> "TypeBatch":
-        """Type-major blocks: stypes[t] for counts[t] elements, or for counts
-        elements each when it is an int."""
-        return cls(np.repeat(np.array([t.type_id - 1 for t in stypes], np.int8), counts))
-
-    def take(self, sel: np.ndarray) -> "TypeBatch":
-        return TypeBatch(self.code[sel])
-
-
-def _take_types(stype: SolutionType | TypeBatch, sel: np.ndarray) -> SolutionType | TypeBatch:
-    return stype.take(sel) if isinstance(stype, TypeBatch) else stype
 
 
 def _sq_norm(u, e, h):
@@ -170,25 +145,24 @@ def half_angles(lin, d, r):
     return big / r, r / big
 
 
-def _tangents(batch: RayBatch, stype: SolutionType | TypeBatch, hi, hf):
-    """frame()'s values, then the type's direction and its T_i and T_f."""
+def _tangents(batch: RayBatch, types, hi, hf):
+    """frame()'s values, then the types' direction, start_sign and end_sign
+    and their T_i and T_f."""
     A, B, c, d, q_i, q_f, r_i, r_f = frame(batch, hi, hf)
-    sig = stype.direction
+    sig, s_i, s_f = _SIGNS[:, types]
     t_i = np.where(sig * A <= 0.0, *half_angles(A, d, r_i))
     t_f = np.where(sig * B <= 0.0, *half_angles(B, d, r_f))
-    return A, B, c, d, q_i, q_f, r_i, r_f, sig, t_i, t_f
+    return A, B, c, d, q_i, q_f, r_i, r_f, sig, s_i, s_f, t_i, t_f
 
 
-def eval_residuals(
-    batch: RayBatch, stype: SolutionType | TypeBatch, hi: np.ndarray, hf: np.ndarray, jac: bool = False
-):
+def eval_residuals(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray, jac: bool = False):
     """Residual pair (and optionally Jacobian entries) for every element.
 
-    Returns (p_i, p_f, J) with NaN where the geometry is singular; J is None
-    unless requested, else the tuple (dpi_dhi, dpi_dhf, dpf_dhi, dpf_dhf).
+    types is a type code, or an array of one code per element.  Returns
+    (p_i, p_f, J) with NaN where the geometry is singular; J is None unless
+    requested, else the tuple (dpi_dhi, dpi_dhf, dpf_dhi, dpf_dhf).
     """
-    A, B, c, d, q_i, q_f, r_i, r_f, sig, t_i, t_f = _tangents(batch, stype, hi, hf)
-    s_i, s_f = stype.start_sign, stype.end_sign
+    A, B, c, d, q_i, q_f, r_i, r_f, sig, s_i, s_f, t_i, t_f = _tangents(batch, types, hi, hf)
     p_i = hi + s_i * t_i
     p_f = hf + s_f * t_f
     if not jac:
@@ -204,32 +178,32 @@ def eval_residuals(
     return p_i, p_f, J
 
 
-def eval_ahead(batch: RayBatch, stype: SolutionType | TypeBatch, hi: np.ndarray, hf: np.ndarray) -> np.ndarray:
+def eval_ahead(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray) -> np.ndarray:
     """Signed separation (c_f - c_i) . hdir used by directional validity:
     d + sigma (s_i T_i - s_f T_f), at any offsets.
 
     NaN where the geometry is singular.
     """
-    A, B, c, d, q_i, q_f, r_i, r_f, sig, t_i, t_f = _tangents(batch, stype, hi, hf)
-    return d + sig * (stype.start_sign * t_i - stype.end_sign * t_f)
+    A, B, c, d, q_i, q_f, r_i, r_f, sig, s_i, s_f, t_i, t_f = _tangents(batch, types, hi, hf)
+    return d + sig * (s_i * t_i - s_f * t_f)
 
 
-def directionally_valid(stype: SolutionType | TypeBatch, ahead: np.ndarray) -> np.ndarray:
+def directionally_valid(types, ahead: np.ndarray) -> np.ndarray:
     """Array form of `path.check_directionality` on eval_ahead's output.
 
     Regular roots need the goal-side circle ahead, switched roots behind it,
     both within EPS_ZERO r; NaN (singular geometry) is never valid.
     """
-    return stype.direction * ahead >= -EPS_ZERO
+    return _SIGNS[0, types] * ahead >= -EPS_ZERO
 
 
-def eval_fd_jacobian(batch: RayBatch, stype: SolutionType | TypeBatch, hi: np.ndarray, hf: np.ndarray):
+def eval_fd_jacobian(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray):
     """Central finite-difference Jacobian, step FD_STEP (the gradient-free
     solver mode)."""
-    pi_a, pf_a, _ = eval_residuals(batch, stype, hi + FD_STEP, hf)
-    pi_b, pf_b, _ = eval_residuals(batch, stype, hi - FD_STEP, hf)
-    pi_c, pf_c, _ = eval_residuals(batch, stype, hi, hf + FD_STEP)
-    pi_d, pf_d, _ = eval_residuals(batch, stype, hi, hf - FD_STEP)
+    pi_a, pf_a, _ = eval_residuals(batch, types, hi + FD_STEP, hf)
+    pi_b, pf_b, _ = eval_residuals(batch, types, hi - FD_STEP, hf)
+    pi_c, pf_c, _ = eval_residuals(batch, types, hi, hf + FD_STEP)
+    pi_d, pf_d, _ = eval_residuals(batch, types, hi, hf - FD_STEP)
     inv = 0.5 / FD_STEP
     return ((pi_a - pi_b) * inv, (pi_c - pi_d) * inv, (pf_a - pf_b) * inv, (pf_c - pf_d) * inv)
 
@@ -254,7 +228,7 @@ def _pad(pos: np.ndarray, cap: int) -> np.ndarray:
     return pos if size == m else np.concatenate((pos, pos[: size - m]))
 
 
-def _line_search(batch, stype, hi, hf, p_i, p_f, fn, dhi, dhf, live):
+def _line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, live):
     """Take for each of the first `live` elements the first step 2^-k
     (dhi, dhf), k < MAX_HALVINGS, that lowers the residual norm below fn,
     and write it into hi, hf, p_i, p_f and fn.
@@ -279,7 +253,7 @@ def _line_search(batch, stype, hi, hf, p_i, p_f, fn, dhi, dhf, live):
         lam = np.ldexp(1.0, -(k + flat // n))
         thi = hi[at] + lam * dhi[at]
         thf = hf[at] + lam * dhf[at]
-        tpi, tpf, _ = eval_residuals(batch.take(at), _take_types(stype, at), thi, thf)
+        tpi, tpf, _ = eval_residuals(batch.take(at), types[at], thi, thf)
         tfn = np.hypot(tpi, tpf)
         good = (np.isfinite(tfn) & (tfn < fn[at]))[: n * rungs].reshape(rungs, n)
         hit = good.any(axis=0)
@@ -315,10 +289,14 @@ class NewtonResult:
         """max(|p_i|, |p_f|) per element (NaN where not converged)."""
         return np.fmax(np.abs(self.p_i), np.abs(self.p_f))
 
+    def take(self, sel: np.ndarray) -> "NewtonResult":
+        """The elements at the indices sel."""
+        return NewtonResult(*(getattr(self, f.name)[sel] for f in fields(self)))
+
 
 def newton(
     batch: RayBatch,
-    stype: SolutionType | TypeBatch,
+    types: np.ndarray,
     hi0: np.ndarray,
     hf0: np.ndarray,
     max_iters: int = 100,
@@ -327,9 +305,9 @@ def newton(
 ) -> NewtonResult:
     """Damped Newton iteration on every element of the batch.
 
-    stype is one type for every element or a TypeBatch of one type per
-    element; elements never interact, so each one's iterates, residuals and
-    iteration count do not depend on what else is in the batch.  An element
+    types is the (N,) array of the elements' type codes, indexed as the
+    offsets are.  Elements never interact, so each one's iterates, residuals
+    and iteration count do not depend on what else is in the batch.  An element
     converges when max(|p_i|, |p_f|) <= DEFAULT_RESIDUAL_TOL.  Elements are
     dropped when the geometry turns singular with no acceptable backtracked step,
     when the Jacobian degenerates, when progress plateaus, or when the
@@ -350,7 +328,7 @@ def newton(
     # positions [0, live) hold distinct elements, the rest copies of them
     idx, live = np.arange(n_total), n_total
     # the first shrink replaces chi and chf by copies before anything writes
-    cur, types = batch, stype
+    cur = batch
     chi, chf = out.h_i, out.h_f
     cpi, cpf, _ = eval_residuals(cur, types, chi, chf)
     cfn = np.hypot(cpi, cpf)
@@ -366,7 +344,7 @@ def newton(
         sel = _pad(sel, idx.size)
         idx = idx[sel]
         cur = cur.take(sel)
-        types = _take_types(types, sel)
+        types = types[sel]
         chi = chi[sel]
         chf = chf[sel]
         cpi = cpi[sel]

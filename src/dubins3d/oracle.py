@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import batch as _batch
+from . import solver as _solver
 from .batch import RayBatch
 from .batch import eval_residuals  # noqa: F401  unused here; bench/tracing.py wraps oracle.eval_residuals
 from .geom import ProblemInstance
 from .residual import ALL_TYPES, HPair, SolutionType
-from .solver import DEFAULT_DEDUP_TOL, GRID_MAX_ITERS, dedup
+from .solver import DEFAULT_DEDUP_TOL, GRID_MAX_ITERS
 from .solver import solve_type  # noqa: F401  unused here; bench/tracing.py wraps oracle.solve_type
 
 # Node values this close to zero (in units of r) count as crossings so roots
@@ -181,15 +182,15 @@ def enumerate_all_types(
         found.append(cmap.stype)
         hi0.append(0.5 * (cmap.h_i_nodes[i] + cmap.h_i_nodes[i + 1]))
         hf0.append(0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1]))
-    types = _batch.TypeBatch.repeat(found, [hi.size for hi in hi0])
+    types = np.repeat(np.array([t.type_id - 1 for t in found], np.int8), [hi.size for hi in hi0])
     hi0, hf0 = np.concatenate(hi0) / r, np.concatenate(hf0) / r
     res = _batch.newton(RayBatch.from_instance(inst), types, hi0, hf0, max_iters=GRID_MAX_ITERS)
     res.h_i *= r
     res.h_f *= r
     cand = np.flatnonzero(res.converged & window.contains(res, 1e-9 * r))
     roots: dict[int, list[HPair]] = {t.type_id: [] for t in found}
-    for q in dedup(cand, types.code, res.h_i, res.h_f, res.max_abs(), DEFAULT_DEDUP_TOL * r):
-        roots[ALL_TYPES[types.code[q]].type_id].append(HPair(float(res.h_i[q]), float(res.h_f[q])))
+    for q in _solver.dedup(cand, types, res.h_i, res.h_f, res.max_abs(), DEFAULT_DEDUP_TOL * r):
+        roots[int(types[q]) + 1].append(HPair(float(res.h_i[q]), float(res.h_f[q])))
     for hps in roots.values():
         hps.sort(key=lambda p: (p.h_i, p.h_f))
     return roots

@@ -18,7 +18,6 @@ from math import isfinite
 
 from .geom import (
     EPS_ZERO,
-    Configuration,
     DubinsError,
     ProblemInstance,
     UnitVec3,
@@ -147,11 +146,6 @@ class Geometry:
     c_f: Vec3
 
 
-def h_point(config: Configuration, h: float) -> Vec3:
-    """Offset point at signed distance h along a configuration's ray."""
-    return config.point_along(h)
-
-
 def s_direction(h_pt_i: Vec3, h_pt_f: Vec3) -> UnitVec3:
     """Unit direction of the segment carrier line, from h_pt_i toward h_pt_f.
 
@@ -164,34 +158,6 @@ def s_direction(h_pt_i: Vec3, h_pt_f: Vec3) -> UnitVec3:
     return UnitVec3(w.x / d, w.y / d, w.z / d)
 
 
-def circle_center(h_pt: Vec3, v: UnitVec3, hdir: UnitVec3, r: float, sign: int) -> Vec3:
-    """Center of the radius-r circle tangent to both the ray (h_pt, v) and
-    the line (h_pt, hdir), on the side selected by sign.
-
-    Raises ParallelDirections when v and hdir are (anti)parallel.
-    """
-    n = v.cross(hdir).norm()
-    if n <= EPS_SING:
-        raise ParallelDirections("ray")
-    return h_pt + (sign * r / n) * (v - hdir)
-
-
-def tangency_scalar(h: float, v: UnitVec3, hdir: UnitVec3, r: float, sign: int, switched: bool) -> float:
-    """Signed position along the ray of the circle/ray tangent point.
-
-    The switched variant substitutes the reversed segment direction, which
-    turns the (1 - hdir.v) factor into (1 + hdir.v) while leaving the cross
-    norm unchanged.
-    """
-    n = v.cross(hdir).norm()
-    if n <= EPS_SING:
-        raise ParallelDirections("ray")
-    s = hdir.dot(v)
-    if switched:
-        s = -s
-    return h + sign * (r / n) * (1.0 - s)
-
-
 def _effective_dir(hdir: UnitVec3, switched: bool) -> UnitVec3:
     return -hdir if switched else hdir
 
@@ -202,8 +168,8 @@ def residuals(inst: ProblemInstance, stype: SolutionType, hp: HPair) -> tuple[Re
     Raises CoincidentHPoints or ParallelDirections (naming the failing end)
     on singular geometry.
     """
-    h_pt_i = h_point(inst.start, hp.h_i)
-    h_pt_f = h_point(inst.goal, hp.h_f)
+    h_pt_i = inst.start.point_along(hp.h_i)
+    h_pt_f = inst.goal.point_along(hp.h_f)
     hdir = s_direction(h_pt_i, h_pt_f)
     g = _effective_dir(hdir, stype.switched)
     r = inst.radius
@@ -235,8 +201,8 @@ def jacobian(inst: ProblemInstance, stype: SolutionType, hp: HPair) -> tuple[Jac
     segment direction, the sign applying to the whole derivative of the
     second term, plus 1 on the diagonal from the leading h.
     """
-    h_pt_i = h_point(inst.start, hp.h_i)
-    h_pt_f = h_point(inst.goal, hp.h_f)
+    h_pt_i = inst.start.point_along(hp.h_i)
+    h_pt_f = inst.goal.point_along(hp.h_f)
     w = h_pt_f - h_pt_i
     d = w.norm()
     if d <= EPS_ZERO:

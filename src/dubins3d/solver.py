@@ -2,14 +2,16 @@
 
 Each type's 2x2 tangency system is solved from a set of seeds: a single seed,
 or the grid of `seed_grid` spanning the instance scale, which `run_sweep`
-seeds its cells from as well.  One Newton batch carries every (type, seed)
-pair, the type given per element.  The converged iterates of all types are
-merged in arrays first, the smallest residual winning each cluster; only the
-survivors are then re-verified through the scalar evaluation path, and they
-come back in a deterministic order.  Directional validity is a separate
-concern handled by the `path` module.  Every solve runs on the instance
-scaled to unit radius, so tolerances are in units of r and the roots do not
-depend on the unit of length.
+seeds its cells from as well.  `multistart` is the one layout of such a
+solve: one Newton batch over every (type, instance, seed) element, its
+converged iterates merged per (type, instance) by `dedup`, the smallest
+residual winning each cluster.  `solve_all` runs it on one instance and
+re-verifies only the survivors through the scalar evaluation path; they
+come back in a deterministic order.  `collinear` is the one test for
+instances the two-offset parametrization cannot express.  Directional
+validity is a separate concern handled by the `path` module.  Every solve
+runs on the instance scaled to unit radius, so tolerances are in units of r
+and the roots do not depend on the unit of length.
 """
 
 from __future__ import annotations
@@ -79,20 +81,30 @@ class SolutionCandidate:
         return self.stype.type_id
 
 
+def collinear(batch: _batch.RayBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Per instance of the batch, whether its start and goal rays share one
+    line, and whether the straight connection is then a forward path (goal
+    ahead of the start, headings matching).
+
+    From the invariants, in units of r: the rays share a line when
+    |e| = |v_f x v_i| <= EPS_ZERO and either |D| <= EPS_ZERO or
+    |u_i| = |D x v_i| <= EPS_ZERO |D|, with |D| = hypot(a, |u_i|); the
+    straight connection is forward when c > 0 and a >= -EPS_ZERO.
+    """
+    inv = np.reshape(batch.inv, (12, -1))
+    a, c = inv[0], inv[2]
+    u_i = np.sqrt(np.square(inv[3:6]).sum(axis=0))
+    e = np.sqrt(np.square(inv[9:12]).sum(axis=0))
+    d = np.hypot(a, u_i)
+    col = (e <= EPS_ZERO) & ((d <= EPS_ZERO) | (u_i <= EPS_ZERO * d))
+    return col, col & (c > 0.0) & (a >= -EPS_ZERO)
+
+
 def collinearity(inst: ProblemInstance) -> CollinearInstance | None:
-    """Detect instances whose start and goal rays share a single line."""
-    v_i = inst.start.direction
-    v_f = inst.goal.direction
-    if v_i.cross(v_f).norm() > EPS_ZERO:
-        return None
-    u = inst.goal.position - inst.start.position
-    d = u.norm()
-    eps = EPS_ZERO * inst.radius
-    if d > eps and u.cross(v_i).norm() / d > EPS_ZERO:
-        return None
-    along = u.dot(v_i)
-    aligned = v_f.dot(v_i) > 0.0 and along >= -eps
-    return CollinearInstance(aligned, d)
+    """The CollinearInstance of an instance whose start and goal rays share
+    one line (see `collinear`), else None."""
+    col, aligned = collinear(_batch.RayBatch.from_instance(inst))
+    return CollinearInstance(bool(aligned[0]), inst.chord) if col[0] else None
 
 
 def seed_grid(span: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +153,8 @@ def solve_type(
     r = inst.radius
     rb = _batch.RayBatch.from_instance(inst)
     seeds = (np.array([seed.h_i / r]), np.array([seed.h_f / r]))
-    res = _batch.newton(rb, stype, *seeds, max_iters=opts.max_iters, use_gradient=opts.use_gradient)
+    code = np.array([stype.type_id - 1], np.int8)
+    res = _batch.newton(rb, code, *seeds, max_iters=opts.max_iters, use_gradient=opts.use_gradient)
     if not res.converged[0]:
         raise NotConverged(f"{stype} from seed ({seed.h_i}, {seed.h_f})")
     hp = HPair(float(res.h_i[0]), float(res.h_f[0]))
@@ -175,6 +188,42 @@ def dedup(
     return np.concatenate(kept)
 
 
+def multistart(
+    batch: _batch.RayBatch,
+    hi0: np.ndarray,
+    hf0: np.ndarray,
+    max_iters: int,
+    use_gradient: bool = True,
+    h_limit: float = np.inf,
+) -> tuple[_batch.NewtonResult, np.ndarray, np.ndarray, np.ndarray]:
+    """All eight types of every instance of the batch from its seeds, in one
+    Newton batch, merged by `dedup` within each (type, instance).
+
+    hi0 and hf0, in units of r, are (n, k): row m seeds instance m of the
+    batch's n instances (a one-instance batch takes (k,) seeds).  Element q
+    of the Newton batch solves type q // (n k) on instance (q // k) % n from
+    seed q % k, so the layout is type-major and (q // k) is its
+    (type, instance) group.  Returns the NewtonResult of the surviving
+    converged elements, in `dedup`'s order, and their type codes, instances
+    and seed indices.
+    """
+    hi0, hf0 = np.atleast_2d(hi0), np.atleast_2d(hf0)
+    n, k = hi0.shape
+    n_types = len(ALL_TYPES)
+    group = np.arange(n_types * n * k) // k
+    run = _batch.newton(
+        batch.take(group % n),
+        np.repeat(np.arange(n_types, dtype=np.int8), n * k),
+        np.tile(hi0.ravel(), n_types),
+        np.tile(hf0.ravel(), n_types),
+        max_iters=max_iters,
+        use_gradient=use_gradient,
+        h_limit=h_limit,
+    )
+    kept = dedup(np.flatnonzero(run.converged), group, run.h_i, run.h_f, run.max_abs())
+    return run.take(kept), (group[kept] // n).astype(np.int8), group[kept] % n, kept % k
+
+
 def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[SolutionCandidate]:
     """Find roots of all eight types from every seed, deduplicated and sorted
     by (type, h_i, h_f).
@@ -183,37 +232,27 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
     singular everywhere; callers handle the straight-line special case.
     """
     opts = opts or SolverOptions()
-    col = collinearity(inst)
-    if col is not None:
-        raise col
+    rb = _batch.RayBatch.from_instance(inst)
+    col, aligned = collinear(rb)
+    if col[0]:
+        raise CollinearInstance(bool(aligned[0]), inst.chord)
     r = inst.radius
     if opts.seed is None:
         hi0, hf0 = seed_grid(inst.span)
     else:
         hi0, hf0 = np.array([opts.seed.h_i]), np.array([opts.seed.h_f])
-    # element q is type ALL_TYPES[q // k] from seed q % k, in units of r
-    k = len(hi0)
-    n = len(ALL_TYPES) * k
-    group = np.arange(n) // k
-    run = _batch.newton(
-        _batch.RayBatch.from_instance(inst),
-        _batch.TypeBatch.repeat(ALL_TYPES, k),
-        np.tile(hi0 / r, len(ALL_TYPES)),
-        np.tile(hf0 / r, len(ALL_TYPES)),
-        max_iters=opts.max_iters,
-        use_gradient=opts.use_gradient,
-        h_limit=runaway_limit(inst.span / r),
-    )
+    h_limit = runaway_limit(inst.span / r)
+    run, types, _, seeds = multistart(rb, hi0 / r, hf0 / r, opts.max_iters, opts.use_gradient, h_limit)
 
     unit = inst.in_radius_units()
     out: list[SolutionCandidate] = []
-    for q in dedup(np.flatnonzero(run.converged), group, run.h_i, run.h_f, run.max_abs()):
-        stype = ALL_TYPES[group[q]]
+    for q, (t, s) in enumerate(zip(types, seeds)):
+        stype = ALL_TYPES[t]
         hp = HPair(float(run.h_i[q]), float(run.h_f[q]))
         res, geo = residuals(unit, stype, hp)
         # re-verified through the scalar path; drop anything that drifted
         if res.max_abs() <= DEFAULT_RESIDUAL_TOL:
-            seed = HPair(float(hi0[q % k]), float(hf0[q % k]))
+            seed = HPair(float(hi0[s]), float(hf0[s]))
             out.append(_candidate(r, stype, hp, res, geo, int(run.iterations[q]), seed))
     out.sort(key=lambda c: (c.type_id, c.hp.h_i, c.hp.h_f))
     return out

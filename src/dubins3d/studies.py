@@ -1,14 +1,17 @@
 """Solution-space studies: parameter sweeps, seed sensitivity, gradient use.
 
-Each study runs one Newton batch, type-major (the gradient study one per
-Jacobian mode): a sweep over every (type, cell, seed), merging each cell's
-roots of a type with `solver.dedup` (smallest residual wins), the seed study
-over every (type, seed) and the gradient study over every (type, case); the
-elements of a cell or case index its invariants.  A robust sweep seeds
-each cell with `solver.seed_grid`, the seeds `solve_all` uses.  All are
-deterministic for fixed inputs.  Sweeps and the gradient study are defined
-in units of the turn radius (r = 1); the seed study takes a scenario's own
-radius and reports seeds and roots in its units.
+Each study runs one Newton batch (the gradient study one per Jacobian
+mode).  A sweep and the gradient study run `solver.multistart`, the
+multistart of `solve_all`, with one instance per cell or case: a sweep over
+every (type, cell, seed), each cell's roots of a type merged (smallest
+residual wins), the gradient study from one seed per case.  A robust sweep
+seeds each cell with `solver.seed_grid`, the seeds `solve_all` uses, and
+every sweep flags collinear cells with `solver.collinear`, the test
+`solve_all` makes.  The seed study keeps every seed's own outcome, so it
+runs one batch over every (type, seed) itself.  All are deterministic for
+fixed inputs.  Sweeps and the gradient study are defined in units of the
+turn radius (r = 1); the seed study takes a scenario's own radius and
+reports seeds and roots in its units.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import RayBatch, TypeBatch, directionally_valid, eval_ahead, newton
-from .geom import EPS_ZERO
-from .residual import ALL_TYPES, SolutionType
+from .batch import RayBatch, directionally_valid, eval_ahead, newton
+from .residual import REGULAR_TYPES, SolutionType
 from .scenarios import Scenario
-from .solver import GRID_MAX_ITERS, dedup, runaway_limit, seed_grid
+from .solver import GRID_MAX_ITERS, collinear, multistart, runaway_limit, seed_grid
 
 SWEEP_MODES = ("planar", "nonplanar")
 # Swept axis ranges: positions on [-6, 6] (inclusive, symmetric about 0) and
@@ -109,14 +111,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Each cell is solved from the single seed (0, 0), or with robust_seeds
     from `solver.seed_grid` over its own span, the seeds `solve_all` gives
-    the cell's instance.
-    One Newton batch runs every (type, cell, seed) triple, type-major, each
-    element indexing its cell's invariants; `dedup` grouped by (type, cell)
-    merges each cell's roots of a type (smallest residual wins), and one
-    more evaluation tests the survivors for direction.  Collinear cells
-    (goal on the start axis with matching heading) cannot be expressed in
-    the two-offset parametrization; they are flagged and given count 1 when
-    the straight connection itself is a valid path.
+    the cell's instance.  `solver.multistart` runs every (type, cell, seed)
+    in one Newton batch and merges each cell's roots of a type (smallest
+    residual wins), and one more evaluation tests the survivors for
+    direction.  Collinear cells (`solver.collinear`: start and goal rays on
+    one line) cannot be expressed in the two-offset parametrization; they
+    are flagged and given count 1 when the straight connection itself is a
+    valid path.
     """
     name_a, name_b = spec.swept
     axis_a = axis_values(name_a, spec.steps)
@@ -128,35 +129,19 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     x, z, angle = values["x"], values["z"], values["angle"]
     n = x.size
-    goal_dir = _goal_direction(spec.mode, angle)
-    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (x, np.zeros(n), z), goal_dir)
-
-    # collinear cells: goal heading parallel to +z and goal on the z axis;
-    # the straight connection is itself a path only for a forward-aligned goal
-    dir_cross = np.hypot(goal_dir[0], goal_dir[1])  # |v_f x z-hat| for unit v_f
-    collinear = (dir_cross <= EPS_ZERO) & (np.abs(x) <= EPS_ZERO)
-    straight_ok = collinear & (goal_dir[2] > 0) & (z >= -EPS_ZERO)
+    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (x, np.zeros(n), z), _goal_direction(spec.mode, angle))
+    flagged, straight_ok = collinear(rb)
 
     span = np.sqrt(x * x + z * z) + 4.0  # ProblemInstance.span at r = 1
     # seeds (0, 0), or with robust_seeds the solver's grid over each cell's span
     hi0, hf0 = seed_grid(span) if spec.robust_seeds else (np.zeros((n, 1)), np.zeros((n, 1)))
-    k = hi0.shape[1]
-    # element q solves type q // (n k) in cell (q // k) % n from seed q % k
-    group = np.arange(len(ALL_TYPES) * n * k) // k  # type index * n + cell
-    tiled = rb.take(group % n)
-    types = TypeBatch.repeat(ALL_TYPES, n * k)
-    hi0, hf0 = np.tile(hi0.ravel(), len(ALL_TYPES)), np.tile(hf0.ravel(), len(ALL_TYPES))
-    h_limit = runaway_limit(float(span.max()))
-
-    res = newton(tiled, types, hi0, hf0, max_iters=GRID_MAX_ITERS, h_limit=h_limit)
-    kept = dedup(np.flatnonzero(res.converged), group, res.h_i, res.h_f, res.max_abs())
-    picked = types.take(kept)
-    ahead = eval_ahead(tiled.take(kept), picked, res.h_i[kept], res.h_f[kept])
-    valid = np.bincount(group[kept[directionally_valid(picked, ahead)]], minlength=group.size // k)
-    per_type = valid.reshape(len(ALL_TYPES), n)  # types 1-4 are regular, 5-8 switched
-    counts_reg, counts_sw = per_type[:4].sum(0), per_type[4:].sum(0)
-    counts_reg[collinear] = 0
-    counts_sw[collinear] = 0
+    run, types, cells, _ = multistart(rb, hi0, hf0, GRID_MAX_ITERS, h_limit=runaway_limit(float(span.max())))
+    valid = directionally_valid(types, eval_ahead(rb.take(cells), types, run.h_i, run.h_f))
+    switched = types >= len(REGULAR_TYPES)
+    counts_reg = np.bincount(cells[valid & ~switched], minlength=n)
+    counts_sw = np.bincount(cells[valid & switched], minlength=n)
+    counts_reg[flagged] = 0
+    counts_sw[flagged] = 0
     total = counts_reg + counts_sw
     total[straight_ok] = 1
     shape = (spec.steps, spec.steps)
@@ -168,7 +153,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         total.reshape(shape),
         counts_reg.reshape(shape),
         counts_sw.reshape(shape),
-        collinear.reshape(shape).astype(np.int64),
+        flagged.reshape(shape).astype(np.int64),
     )
 
 
@@ -200,7 +185,8 @@ def run_seed_study(
     hf0 = b.ravel()
     # one batch over every (type, seed), type-major
     m, n = hi0.size, len(type_ids) * hi0.size
-    types = TypeBatch.repeat([SolutionType.from_id(tid) for tid in type_ids], m)
+    codes = [SolutionType.from_id(tid).type_id - 1 for tid in type_ids]  # rejects ids outside 1-8
+    types = np.repeat(np.array(codes, np.int8), m)
     seeds = np.tile(hi0 / r, len(type_ids)), np.tile(hf0 / r, len(type_ids))
     opts = dict(max_iters=scenario.options.max_iters, use_gradient=scenario.options.use_gradient)
     res = newton(RayBatch.from_instance(inst), types, *seeds, **opts)
@@ -248,16 +234,13 @@ def run_gradient_study(n_cases: int, rng_seed: int) -> list[GradientStudyRow]:
     hf0 = seed_frac[:, 1] * span
 
     rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), tuple(xf.T), tuple(vf.T))
-    # per Jacobian mode, one batch over every (type, case), type-major
-    tiled = rb.take(np.tile(np.arange(n_cases), len(ALL_TYPES)))
-    types = TypeBatch.repeat(ALL_TYPES, n_cases)
-    seeds = np.tile(hi0, len(ALL_TYPES)), np.tile(hf0, len(ALL_TYPES))
     h_limit = runaway_limit(float(span.max()))
     counts = {}
     for use_gradient in (True, False):
-        res = newton(tiled, types, *seeds, max_iters=100, use_gradient=use_gradient, h_limit=h_limit)
-        valid = res.converged & directionally_valid(types, eval_ahead(tiled, types, res.h_i, res.h_f))
-        counts[use_gradient] = valid.reshape(len(ALL_TYPES), n_cases).sum(0)
+        # one seed per case, so the merge keeps every converged element
+        run, types, cases, _ = multistart(rb, hi0[:, None], hf0[:, None], 100, use_gradient, h_limit)
+        valid = directionally_valid(types, eval_ahead(rb.take(cases), types, run.h_i, run.h_f))
+        counts[use_gradient] = np.bincount(cases[valid], minlength=n_cases)
     angles = np.arccos(np.clip(vf[:, 2], -1.0, 1.0))  # angle from the +z start heading
     return [
         GradientStudyRow(k, float(chord[k]), float(angles[k]), int(counts[True][k]), int(counts[False][k]))

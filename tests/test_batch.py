@@ -13,7 +13,6 @@ from dubins3d.batch import (
     PAD_STEP,
     NewtonResult,
     RayBatch,
-    TypeBatch,
     directionally_valid,
     eval_ahead,
     eval_fd_jacobian,
@@ -59,10 +58,11 @@ def test_batch_matches_scalar_reference():
         r = inst.radius
         rb = RayBatch.from_instance(inst)
         for stype in ALL_TYPES:
-            p_i, p_f, J = eval_residuals(rb, stype, his / r, hfs / r, jac=True)
+            code = stype.type_id - 1
+            p_i, p_f, J = eval_residuals(rb, code, his / r, hfs / r, jac=True)
             p_i, p_f = p_i * r, p_f * r
-            ahead = eval_ahead(rb, stype, his / r, hfs / r)
-            valid = directionally_valid(stype, ahead)
+            ahead = eval_ahead(rb, code, his / r, hfs / r)
+            valid = directionally_valid(code, ahead)
             ahead = ahead * r
             for k in range(32):
                 try:
@@ -88,8 +88,8 @@ def test_directionally_valid_boundary_and_singular():
     # a separation within EPS_ZERO is a degenerate segment, valid for both
     # kinds (as in check_directionality); NaN marks singular geometry
     ahead = np.array([-1.0, -0.5 * EPS_ZERO, 0.0, 0.5 * EPS_ZERO, 1.0, np.nan])
-    assert directionally_valid(ALL_TYPES[0], ahead).tolist() == [False, True, True, True, True, False]
-    assert directionally_valid(ALL_TYPES[4], ahead).tolist() == [True, True, True, True, False, False]
+    assert directionally_valid(0, ahead).tolist() == [False, True, True, True, True, False]
+    assert directionally_valid(4, ahead).tolist() == [True, True, True, True, False, False]
 
 
 def test_fd_jacobian_close_to_analytic():
@@ -98,9 +98,9 @@ def test_fd_jacobian_close_to_analytic():
     rb = RayBatch.from_instance(inst)
     his = rng.uniform(-4, 4, 64)
     hfs = rng.uniform(-4, 4, 64)
-    for stype in ALL_TYPES[:2]:
-        _, _, J = eval_residuals(rb, stype, his, hfs, jac=True)
-        F = eval_fd_jacobian(rb, stype, his, hfs)
+    for code in (0, 1):
+        _, _, J = eval_residuals(rb, code, his, hfs, jac=True)
+        F = eval_fd_jacobian(rb, code, his, hfs)
         for a, f in zip(J, F):
             mask = np.isfinite(a) & np.isfinite(f)
             assert np.all(np.abs(a[mask] - f[mask]) <= 1e-5 * np.maximum(1.0, np.abs(f[mask])))
@@ -110,7 +110,7 @@ def test_newton_polishes_seeds_near_roots():
     inst = instance((0, 0, 0), (0, 0, 1), (-1, 0, 3), (1, 0, 1))
     rb = RayBatch.from_instance(inst)
     stype = ALL_TYPES[0]
-    res = newton(rb, stype, np.array([-0.3, 5.0]), np.array([-0.8, 5.0]))
+    res = newton(rb, codes([stype] * 2), np.array([-0.3, 5.0]), np.array([-0.8, 5.0]))
     assert res.converged[0]
     assert max(abs(res.p_i[0]), abs(res.p_f[0])) <= 1e-9
     # re-check through the scalar path
@@ -122,9 +122,9 @@ def test_newton_zero_iterations_at_root():
     inst = instance((0, 0, 0), (0, 0, 1), (-1, 0, 3), (1, 0, 1))
     rb = RayBatch.from_instance(inst)
     stype = ALL_TYPES[0]
-    first = newton(rb, stype, np.array([0.0]), np.array([0.0]))
+    first = newton(rb, codes([stype]), np.array([0.0]), np.array([0.0]))
     assert first.converged[0]
-    again = newton(rb, stype, first.h_i, first.h_f)
+    again = newton(rb, codes([stype]), first.h_i, first.h_f)
     assert again.converged[0]
     assert again.iterations[0] <= 2
 
@@ -142,11 +142,11 @@ def test_newton_gradient_flag_switches_jacobian_path(monkeypatch):
     monkeypatch.setattr(batch_mod, "eval_fd_jacobian", spy)
     inst = instance((0, 0, 0), (0, 0, 1), (-1, 0, 3), (1, 0, 1))
     rb = RayBatch.from_instance(inst)
-    res = newton(rb, ALL_TYPES[0], np.array([0.0]), np.array([0.0]), use_gradient=False)
+    res = newton(rb, codes(ALL_TYPES[:1]), np.array([0.0]), np.array([0.0]), use_gradient=False)
     assert res.converged[0]
     assert calls["fd"] > 0
     calls["fd"] = 0
-    newton(rb, ALL_TYPES[0], np.array([0.0]), np.array([0.0]), use_gradient=True)
+    newton(rb, codes(ALL_TYPES[:1]), np.array([0.0]), np.array([0.0]), use_gradient=True)
     assert calls["fd"] == 0
 
 
@@ -154,13 +154,18 @@ def test_newton_instance_arrays_per_element():
     # one batch solving two different goal positions at once
     zs = np.array([3.0, 4.0])
     rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (np.array([-1.0, -1.0]), np.zeros(2), zs), (math.sqrt(0.5), 0.0, math.sqrt(0.5)))
-    res = newton(rb, ALL_TYPES[0], np.zeros(2), np.zeros(2))
+    res = newton(rb, codes(ALL_TYPES[:1] * 2), np.zeros(2), np.zeros(2))
     assert res.converged.all()
     for k, z in enumerate(zs):
         inst = instance((0, 0, 0), (0, 0, 1), (-1, 0, z), (1, 0, 1))
         ref, _ = residuals(inst, ALL_TYPES[0], HPair(float(res.h_i[k]), float(res.h_f[k])))
         assert ref.max_abs() <= 1e-9
     assert res.h_i[0] != res.h_i[1]
+
+
+def codes(stypes):
+    """The type code of every type in stypes."""
+    return np.array([t.type_id - 1 for t in stypes], np.int8)
 
 
 def _same_bits(a, b):
@@ -196,7 +201,7 @@ def test_mixed_type_evaluations_equal_per_type_calls_bitwise():
     rng = np.random.default_rng(21)
     for _ in range(4):
         rb, stypes, hi, hf = mixed_batch(rng)
-        types = TypeBatch.repeat(stypes, 1)
+        types = codes(stypes)
         fused = {
             "res": eval_residuals(rb, types, hi, hf)[:2],
             "jac": eval_residuals(rb, types, hi, hf, jac=True),
@@ -207,17 +212,18 @@ def test_mixed_type_evaluations_equal_per_type_calls_bitwise():
         valid = directionally_valid(types, ahead)
         for stype, sel in per_type(stypes):
             sub = rb.take(sel)
-            p_i, p_f, J = eval_residuals(sub, stype, hi[sel], hf[sel], jac=True)
-            want = {"res": (p_i, p_f), "jac": (p_i, p_f, *J), "fd": eval_fd_jacobian(sub, stype, hi[sel], hf[sel])}
+            code = stype.type_id - 1
+            p_i, p_f, J = eval_residuals(sub, code, hi[sel], hf[sel], jac=True)
+            want = {"res": (p_i, p_f), "jac": (p_i, p_f, *J), "fd": eval_fd_jacobian(sub, code, hi[sel], hf[sel])}
             got = {"res": fused["res"], "jac": fused["jac"][:2] + fused["jac"][2], "fd": fused["fd"]}
             for name in want:
                 for a, b in zip(got[name], want[name]):
                     assert _same_bits(a[sel], b), (stype, name)
-            sub_ahead = eval_ahead(sub, stype, hi[sel], hf[sel])
+            sub_ahead = eval_ahead(sub, code, hi[sel], hf[sel])
             assert _same_bits(ahead[sel], sub_ahead), stype
-            assert _same_bits(valid[sel], directionally_valid(stype, sub_ahead)), stype
-            # a TypeBatch of one type is the same as the type itself
-            assert _same_bits(eval_ahead(sub, TypeBatch.repeat([stype], sel.size), hi[sel], hf[sel]), sub_ahead)
+            assert _same_bits(valid[sel], directionally_valid(code, sub_ahead)), stype
+            # an array of one code is the same as the code itself
+            assert _same_bits(eval_ahead(sub, codes([stype] * sel.size), hi[sel], hf[sel]), sub_ahead)
 
 
 @pytest.mark.parametrize("use_gradient,max_iters,h_limit", [(True, 100, 40.0), (False, 100, np.inf), (True, 4, np.inf)])
@@ -227,21 +233,12 @@ def test_mixed_type_newton_equals_per_type_newton_bitwise(use_gradient, max_iter
     rng = np.random.default_rng(22)
     rb, stypes, hi, hf = mixed_batch(rng, per=60)
     kw = dict(max_iters=max_iters, use_gradient=use_gradient, h_limit=h_limit)
-    fused = newton(rb, TypeBatch.repeat(stypes, 1), hi, hf, **kw)
+    fused = newton(rb, codes(stypes), hi, hf, **kw)
     assert 0 < fused.converged.sum() < hi.size
     for stype, sel in per_type(stypes):
-        one = newton(rb.take(sel), stype, hi[sel], hf[sel], **kw)
+        one = newton(rb.take(sel), codes([stype] * sel.size), hi[sel], hf[sel], **kw)
         for name in NEWTON_FIELDS:
             assert _same_bits(getattr(fused, name)[sel], getattr(one, name)), (stype, name)
-
-
-def test_type_batch_repeat_is_type_major():
-    types = TypeBatch.repeat(ALL_TYPES, 2)
-    assert types.direction.tolist() == [-1.0 if t.switched else 1.0 for t in ALL_TYPES for _ in range(2)]
-    assert types.start_sign.tolist() == [t.start_sign for t in ALL_TYPES for _ in range(2)]
-    types = TypeBatch.repeat(ALL_TYPES[6:], [0, 3])
-    assert types.end_sign.tolist() == [ALL_TYPES[7].end_sign] * 3
-    assert TypeBatch.repeat([], []).direction.size == 0
 
 
 @pytest.mark.parametrize("kw", [dict(h_limit=40.0), dict(use_gradient=False), dict(max_iters=4)])
@@ -250,10 +247,10 @@ def test_newton_batch_equals_one_element_runs_bitwise(kw):
     # one is never padded, and elements never interact
     rng = np.random.default_rng(23)
     rb, stypes, hi, hf = mixed_batch(rng, per=12)
-    whole = newton(rb, TypeBatch.repeat(stypes, 1), hi, hf, **kw)
+    whole = newton(rb, codes(stypes), hi, hf, **kw)
     assert 0 < whole.converged.sum() < hi.size
     for q in range(hi.size):
-        one = newton(rb.take(np.array([q])), stypes[q], hi[q : q + 1], hf[q : q + 1], **kw)
+        one = newton(rb.take(np.array([q])), codes(stypes[q : q + 1]), hi[q : q + 1], hf[q : q + 1], **kw)
         for name in NEWTON_FIELDS:
             assert _same_bits(getattr(whole, name)[q : q + 1], getattr(one, name)), (q, name)
 
@@ -282,7 +279,7 @@ def test_newton_evaluates_ladder_sizes_only(monkeypatch):
     assert all(s == 656 or (s <= PAD_STEP and s & (s - 1) == 0) or s % PAD_STEP == 0 for s in sizes), sorted(sizes)
 
 
-def sequential_line_search(batch, stype, hi, hf, p_i, p_f, fn, dhi, dhf, live):
+def sequential_line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, live):
     """The line search without the step ladder: all pending elements try one
     step length per kernel call, halved after every call."""
     spent = np.full(hi.size, MAX_HALVINGS)
@@ -294,7 +291,7 @@ def sequential_line_search(batch, stype, hi, hf, p_i, p_f, fn, dhi, dhf, live):
         at = _pad(pend, hi.size)
         thi = hi[at] + lam * dhi[at]
         thf = hf[at] + lam * dhf[at]
-        tpi, tpf, _ = batch_mod.eval_residuals(batch.take(at), batch_mod._take_types(stype, at), thi, thf)
+        tpi, tpf, _ = batch_mod.eval_residuals(batch.take(at), types[at], thi, thf)
         tfn = np.hypot(tpi, tpf)
         good = np.isfinite(tfn) & (tfn < fn[at])
         sel = at[good]
@@ -321,7 +318,7 @@ def test_step_ladder_equals_sequential_halving_bitwise(kw, monkeypatch):
     rng = np.random.default_rng(26)
     rb, stypes, hi, hf = mixed_batch(rng, per=30)
     many, mhi, mhf = many_instance_batch(rng)
-    cases = [(rb, TypeBatch.repeat(stypes, 1), hi, hf), (many, ALL_TYPES[2], mhi, mhf)]
+    cases = [(rb, codes(stypes), hi, hf), (many, codes(ALL_TYPES[2:3] * mhi.size), mhi, mhf)]
     calls = {"n": 0}
     real = batch_mod.eval_residuals
 
@@ -377,11 +374,11 @@ def test_kernel_emits_no_runtime_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         zeros = np.zeros(8)
-        p_i, p_f, J = eval_residuals(RayBatch.from_instance(grazing), TypeBatch.repeat(ALL_TYPES, 1), zeros, zeros, jac=True)
+        p_i, p_f, J = eval_residuals(RayBatch.from_instance(grazing), codes(ALL_TYPES), zeros, zeros, jac=True)
         assert np.isfinite(p_i).all() and np.isfinite(p_f).all() and all(np.isfinite(j).all() for j in J)
         for kw in (dict(h_limit=40.0), dict(use_gradient=False)):
             rb, stypes, hi, hf = mixed_batch(rng)
-            types = TypeBatch.repeat(stypes, 1)
+            types = codes(stypes)
             p_i, _, J = eval_residuals(rb, types, hi, hf, jac=True)
             assert np.isnan(p_i).any() and np.isnan(J[1]).any()
             eval_fd_jacobian(rb, types, hi, hf)

@@ -246,7 +246,7 @@ def _per_type_contours(inst, stype, window):
     r = inst.radius
     hi_nodes, hf_nodes = window.nodes()
     a, b = np.meshgrid(hi_nodes / r, hf_nodes / r, indexing="ij")
-    p_i, p_f, _ = eval_residuals(RayBatch.from_instance(inst), stype, a.ravel(), b.ravel())
+    p_i, p_f, _ = eval_residuals(RayBatch.from_instance(inst), stype.type_id - 1, a.ravel(), b.ravel())
     p_i, p_f = p_i.reshape(a.shape), p_f.reshape(a.shape)
     singular = ~(np.isfinite(p_i) & np.isfinite(p_f))
     cross_i, cross_f = _minmax_crossings(p_i), _minmax_crossings(p_f)
@@ -266,7 +266,7 @@ def _refine_one_map(inst, cmap):
     hi0 = 0.5 * (cmap.h_i_nodes[i] + cmap.h_i_nodes[i + 1])
     hf0 = 0.5 * (cmap.h_f_nodes[j] + cmap.h_f_nodes[j + 1])
     rb = RayBatch.from_instance(inst)
-    res = newton(rb, cmap.stype, hi0 / r, hf0 / r, max_iters=60)
+    res = newton(rb, np.full(hi0.size, cmap.stype.type_id - 1, np.int8), hi0 / r, hf0 / r, max_iters=60)
     res.h_i *= r
     res.h_f *= r
     cand = np.flatnonzero(res.converged & cmap.window.contains(res, 1e-9 * r))

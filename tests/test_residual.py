@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +12,9 @@ from dubins3d.residual import (
     HPair,
     ParallelDirections,
     SolutionType,
-    circle_center,
-    h_point,
     jacobian,
     residuals,
     s_direction,
-    tangency_scalar,
 )
 
 S2 = 1 / math.sqrt(2)
@@ -86,10 +84,10 @@ def test_type_table_mapping():
 
 def test_h_point_examples():
     cfg = Configuration(Vec3(0, 0, 0), UnitVec3(0, 0, 1))
-    assert h_point(cfg, 2.0).as_tuple() == (0, 0, 2)
-    assert h_point(cfg, 0.0) == cfg.position
+    assert cfg.point_along(2.0).as_tuple() == (0, 0, 2)
+    assert cfg.point_along(0.0) == cfg.position
     cfg2 = Configuration(Vec3(1, 0, 0), UnitVec3(1, 0, 0))
-    assert h_point(cfg2, -1.0).as_tuple() == (0, 0, 0)
+    assert cfg2.point_along(-1.0).as_tuple() == (0, 0, 0)
 
 
 def test_s_direction_examples():
@@ -101,39 +99,38 @@ def test_s_direction_examples():
 
 
 def test_circle_center_perpendicular_case():
-    zhat = UnitVec3(0, 0, 1)
-    xhat = UnitVec3(1, 0, 0)
-    plus = circle_center(Vec3(0, 0, 0), zhat, xhat, 1.0, +1)
-    minus = circle_center(Vec3(0, 0, 0), zhat, xhat, 1.0, -1)
-    assert plus.as_tuple() == pytest.approx((-1, 0, 1))
-    assert minus.as_tuple() == pytest.approx((1, 0, -1))
+    # at (0, 0) the segment runs along +x, perpendicular to the +z start ray
+    inst = instance((0, 0, 0), (0, 0, 1), (5, 0, 0), (0, 1, 0))
+    _, plus = residuals(inst, SolutionType(False, +1, +1), HPair(0.0, 0.0))
+    _, minus = residuals(inst, SolutionType(False, -1, +1), HPair(0.0, 0.0))
+    assert plus.c_i.as_tuple() == pytest.approx((-1, 0, 1))
+    assert minus.c_i.as_tuple() == pytest.approx((1, 0, -1))
     with pytest.raises(ParallelDirections):
-        circle_center(Vec3(0, 0, 0), zhat, zhat, 1.0, +1)
+        residuals(instance((0, 0, 0), (0, 0, 1), (0, 0, 5), (1, 0, 0)), ALL_TYPES[0], HPair(0.0, 0.0))
 
 
 def test_circle_center_tangent_to_both_lines():
-    # the center sits at distance r from both the ray and the segment line
+    # the center sits at distance r from both the ray and the segment line,
+    # at any radius
     rng = np.random.default_rng(3)
     for _ in range(200):
-        v = random_unit(rng)
-        hdir = random_unit(rng)
-        if v.cross(hdir).norm() < 1e-3:
-            continue
-        h_pt = Vec3(*rng.uniform(-5, 5, 3))
+        inst, stype, hp, _, _ = nonsingular_sample(rng)
         r = float(rng.uniform(0.2, 3.0))
-        for sign in (+1, -1):
-            c = circle_center(h_pt, v, hdir, r, sign)
-            assert point_line_distance(c, h_pt, v) == pytest.approx(r, abs=1e-9 * r)
-            assert point_line_distance(c, h_pt, hdir) == pytest.approx(r, abs=1e-9 * r)
+        inst = dataclasses.replace(inst, radius=r)
+        _, geo = residuals(inst, stype, hp)
+        for c, cfg, h_pt in ((geo.c_i, inst.start, geo.h_pt_i), (geo.c_f, inst.goal, geo.h_pt_f)):
+            assert point_line_distance(c, h_pt, cfg.direction) == pytest.approx(r, abs=1e-9 * r)
+            assert point_line_distance(c, h_pt, geo.hdir) == pytest.approx(r, abs=1e-9 * r)
 
 
 def test_tangency_scalar_examples():
-    zhat = UnitVec3(0, 0, 1)
-    xhat = UnitVec3(1, 0, 0)
-    assert tangency_scalar(2.0, zhat, xhat, 1.0, +1, switched=False) == pytest.approx(3.0)
-    assert tangency_scalar(2.0, zhat, xhat, 1.0, -1, switched=False) == pytest.approx(1.0)
-    diag = UnitVec3(S2, 0, S2)
-    got = tangency_scalar(0.0, zhat, diag, 1.0, +1, switched=False)
+    # at h_i = 2 the segment runs along +x, perpendicular to the +z start ray
+    inst = instance((0, 0, 0), (0, 0, 1), (5, 0, 2), (0, 1, 0))
+    assert residuals(inst, SolutionType(False, +1, +1), HPair(2.0, 0.0))[0].p_i == pytest.approx(3.0)
+    assert residuals(inst, SolutionType(False, -1, +1), HPair(2.0, 0.0))[0].p_i == pytest.approx(1.0)
+    # at (0, 0) it runs along (1, 0, 1) / sqrt(2)
+    diag = instance((0, 0, 0), (0, 0, 1), (5, 0, 5), (0, 1, 0))
+    got = residuals(diag, SolutionType(False, +1, +1), HPair(0.0, 0.0))[0].p_i
     assert got == pytest.approx(math.sqrt(2) - 1.0)
 
 
@@ -141,17 +138,17 @@ def test_tangency_sign_structure():
     # regular scalars: + lies at or above the offset, - at or below
     rng = np.random.default_rng(4)
     for _ in range(300):
-        v = random_unit(rng)
-        hdir = random_unit(rng)
-        if v.cross(hdir).norm() < 1e-3:
-            continue
-        h = float(rng.uniform(-5, 5))
-        r = float(rng.uniform(0.2, 3.0))
-        assert tangency_scalar(h, v, hdir, r, +1, False) >= h
-        assert tangency_scalar(h, v, hdir, r, -1, False) <= h
+        inst, _, hp, _, _ = nonsingular_sample(rng, margin=1e-3)
+        inst = dataclasses.replace(inst, radius=float(rng.uniform(0.2, 3.0)))
+        plus, _ = residuals(inst, SolutionType(False, +1, +1), hp)
+        minus, _ = residuals(inst, SolutionType(False, -1, -1), hp)
+        assert plus.p_i >= hp.h_i and plus.p_f >= hp.h_f
+        assert minus.p_i <= hp.h_i and minus.p_f <= hp.h_f
 
 
 def test_switched_equals_regular_when_perpendicular():
+    # a goal placed so that the segment at (h_i, h_f) is perpendicular to
+    # the start ray
     rng = np.random.default_rng(5)
     for _ in range(100):
         v = random_unit(rng)
@@ -159,12 +156,16 @@ def test_switched_equals_regular_when_perpendicular():
         w = Vec3(*w) - Vec3(*w).dot(v) * v  # orthogonalize against v
         if w.norm() < 1e-6:
             continue
-        hdir = normalize(w)
-        h = float(rng.uniform(-3, 3))
+        v_f = random_unit(rng)
+        h_i, h_f = (float(h) for h in rng.uniform(-3, 3, 2))
+        goal = h_i * v + w - h_f * v_f
+        inst = instance((0, 0, 0), v.as_tuple(), goal.as_tuple(), v_f.as_tuple())
+        if v_f.cross(normalize(w)).norm() < 1e-6:
+            continue
         for sign in (+1, -1):
-            a = tangency_scalar(h, v, hdir, 1.0, sign, switched=False)
-            b = tangency_scalar(h, v, hdir, 1.0, sign, switched=True)
-            assert a == pytest.approx(b, abs=1e-12)
+            a, _ = residuals(inst, SolutionType(False, sign, +1), HPair(h_i, h_f))
+            b, _ = residuals(inst, SolutionType(True, sign, +1), HPair(h_i, h_f))
+            assert a.p_i == pytest.approx(b.p_i, abs=1e-12)
 
 
 # -- the residual system

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dubins3d import batch
 from dubins3d.batch import RayBatch, newton
 from dubins3d.geom import instance
 from dubins3d.path import check_directionality
@@ -15,6 +16,7 @@ from dubins3d.solver import (
     _candidate,
     collinearity,
     dedup,
+    multistart,
     runaway_limit,
     seed_grid,
     solve_all,
@@ -183,7 +185,7 @@ def solve_all_per_type(inst, opts):
         hi0, hf0 = np.array([opts.seed.h_i]), np.array([opts.seed.h_f])
     rb = RayBatch.from_instance(inst)
     kw = dict(max_iters=opts.max_iters, use_gradient=opts.use_gradient, h_limit=runaway_limit(inst.span / r))
-    runs = [newton(rb, t, hi0 / r, hf0 / r, **kw) for t in ALL_TYPES]
+    runs = [newton(rb, np.full(len(hi0), t.type_id - 1, np.int8), hi0 / r, hf0 / r, **kw) for t in ALL_TYPES]
     k = len(hi0)
     group = np.repeat(np.arange(len(ALL_TYPES)), k)
     h_i = np.concatenate([run.h_i for run in runs])
@@ -221,3 +223,56 @@ def test_fused_solve_all_equals_per_type_batches():
             assert got == solve_all_per_type(inst, opts), (inst, opts)
             roots += len(got)
     assert roots > 300
+
+
+def test_multistart_layout_is_type_major(monkeypatch):
+    # element q solves type q // (n k) on instance (q // k) % n from seed q % k
+    calls = []
+    real = batch.newton
+
+    def record(rb, types, hi0, hf0, *args, **kwargs):
+        calls.append((rb.row, types, hi0, hf0))
+        return real(rb, types, hi0, hf0, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "newton", record)
+    n, k = 3, 2
+    rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (np.array([-1.0, 2.0, 3.0]), np.zeros(n), np.ones(n)), (1.0, 0.0, 0.0))
+    hi0, hf0 = np.arange(n * k, dtype=float).reshape(n, k), -np.arange(n * k, dtype=float).reshape(n, k)
+    run, types, rows, seeds = multistart(rb, hi0, hf0, 60)
+    [(row, codes, hi, hf)] = calls
+    assert codes.dtype == np.int8
+    assert codes.tolist() == [t for t in range(8) for _ in range(n * k)]
+    assert row.tolist() == [m for _ in range(8) for m in range(n) for _ in range(k)]
+    assert hi.tolist() == hi0.ravel().tolist() * 8 and hf.tolist() == hf0.ravel().tolist() * 8
+    assert types.dtype == np.int8 and run.h_i.size == types.size == rows.size == seeds.size > 0
+
+
+@pytest.mark.parametrize("robust", [True, False])
+def test_multistart_many_instances_equal_one_call_per_instance_bitwise(robust):
+    # random pairs in units of r and one collinear pair (singular everywhere),
+    # seeded from the solver's grid (82 seeds) or from (0, 0) alone
+    rng = np.random.default_rng(41)
+    n = 7
+    pos = rng.uniform(-6, 6, (2, 3, n))
+    dirs = rng.normal(size=(2, 3, n))
+    pos[:, :, -1], dirs[:, :, -1] = [[0, 0, 0], [0, 0, 5]], [[0, 0, 1], [0, 0, 1]]
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    rb = RayBatch.build(tuple(pos[0]), tuple(dirs[0]), tuple(pos[1]), tuple(dirs[1]))
+    span = np.linalg.norm(pos[1] - pos[0], axis=0) + 4.0
+    hi0, hf0 = seed_grid(span) if robust else (np.zeros((n, 1)), np.zeros((n, 1)))
+    kw = dict(max_iters=60, h_limit=runaway_limit(float(span.max())))
+
+    def kept(run, types, rows, seeds, instance=None):
+        """(type, instance, seed) -> the bits of h_i, h_f, iterations and halvings."""
+        rows = rows if instance is None else np.full(rows.size, instance)
+        fields = (run.h_i, run.h_f, run.iterations, run.halvings)
+        return {(int(t), int(m), int(s)): tuple(f[q].tobytes() for f in fields) for q, (t, m, s) in enumerate(zip(types, rows, seeds))}
+
+    fused = kept(*multistart(rb, hi0, hf0, **kw))
+    alone = {}
+    for m in range(n):
+        one = RayBatch(tuple(float(v) for v in rb.inv[:, m]), None)
+        alone.update(kept(*multistart(one, hi0[m], hf0[m], **kw), instance=m))
+    assert fused == alone
+    assert {m for _, m, _ in fused} == set(range(n - 1))  # nothing converges on the collinear pair
+    assert len(fused) > 4 * (n - 1)

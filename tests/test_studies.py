@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dubins3d import batch, studies
+from dubins3d import batch
 from dubins3d.batch import RayBatch, directionally_valid, eval_ahead
 from dubins3d.geom import instance
 from dubins3d.path import check_directionality
-from dubins3d.residual import ALL_TYPES, SolutionType
+from dubins3d.residual import ALL_TYPES, HPair
 from dubins3d.scenarios import Scenario, load_bundled
 from dubins3d.solver import CollinearInstance, SolverOptions, dedup, runaway_limit, solve_all
 from dubins3d.studies import (
@@ -111,6 +111,29 @@ def test_robust_sweep_counts_equal_solve_all_per_cell(mode, fixed):
             assert result.counts_switched[i, j] == sum(c.stype.switched for c in valid)
 
 
+def test_sweep_collinear_flags_are_solve_alls():
+    # x = 5e-10 is within EPS_ZERO of the z axis, but the goal is on the
+    # start's line only where |x| <= EPS_ZERO |D|: the sweep flags a cell
+    # collinear exactly where solve_all raises CollinearInstance.  That test
+    # comes before any seeding, so one seed per cell is enough here.
+    x = 5e-10
+    result = run_sweep(SweepSpec("planar", ("x", x), 61))
+    assert result.axis_names == ("z", "angle")
+    opts = SolverOptions(seed=HPair(0.0, 0.0))
+    flagged = 0
+    for i, z in enumerate(result.axis_a):
+        for j, theta in enumerate(result.axis_b):
+            inst = instance((0, 0, 0), (0, 0, 1), (x, 0.0, float(z)), (-math.sin(theta), 0.0, math.cos(theta)))
+            try:
+                solve_all(inst, opts)
+                raised = False
+            except CollinearInstance:
+                raised = True
+            assert result.collinear[i, j] == raised, (z, theta)
+            flagged += raised
+    assert 0 < flagged < 61
+
+
 @pytest.mark.parametrize("mode, fixed", [("planar", ("z", -1.5)), ("nonplanar", ("angle", 2.0))])
 def test_robust_sweep_seeds_are_the_solver_grid_per_cell(mode, fixed, monkeypatch):
     seeds = []
@@ -120,11 +143,10 @@ def test_robust_sweep_seeds_are_the_solver_grid_per_cell(mode, fixed, monkeypatc
         seeds.append((h_i.copy(), h_f.copy()))
         return newton(rb, stype, h_i, h_f, *args, **kwargs)
 
-    monkeypatch.setattr(studies, "newton", record)
+    monkeypatch.setattr(batch, "newton", record)  # the one run_sweep and solve_all call
     result = run_sweep(SweepSpec(mode, fixed, steps=5, robust_seeds=True))
     sweep_hi, sweep_hf = seeds[0]
     k = sweep_hi.size // (25 * 8)  # type-major: type 1's block is cell-major
-    monkeypatch.setattr(batch, "newton", record)  # the one solve_all calls
     names = result.axis_names
     for i, a in enumerate(result.axis_a):
         for j, b in enumerate(result.axis_b):
@@ -212,13 +234,14 @@ def test_fused_sweep_equals_per_type_loop_bitwise(spec, monkeypatch):
     # the loop run_sweep replaced: per type, one Newton batch over every
     # (cell, seed), dedup grouped by cell and one directional test
     calls = []
+    newton = batch.newton
 
     def record(rb, stype, h_i, h_f, *args, **kwargs):
-        res = batch.newton(rb, stype, h_i, h_f, *args, **kwargs)
+        res = newton(rb, stype, h_i, h_f, *args, **kwargs)
         calls.append((rb, h_i.copy(), h_f.copy(), args, kwargs, res))
         return res
 
-    monkeypatch.setattr(studies, "newton", record)
+    monkeypatch.setattr(batch, "newton", record)
     result = run_sweep(spec)
     [(rb, hi0, hf0, args, kwargs, fused)] = calls
     n = spec.steps**2
@@ -228,12 +251,13 @@ def test_fused_sweep_equals_per_type_loop_bitwise(spec, monkeypatch):
     for t, stype in enumerate(ALL_TYPES):
         block = np.arange(t * n * k, (t + 1) * n * k)
         sub = rb.take(block)
-        one = batch.newton(sub, stype, hi0[block], hf0[block], *args, **kwargs)
+        code = stype.type_id - 1
+        one = newton(sub, np.full(block.size, code, np.int8), hi0[block], hf0[block], *args, **kwargs)
         for name in NEWTON_FIELDS:
             assert _same_bits(getattr(fused, name)[block], getattr(one, name)), (stype, name)
         kept = dedup(np.flatnonzero(one.converged), cell, one.h_i, one.h_f, one.max_abs())
-        ahead = eval_ahead(sub.take(kept), stype, one.h_i[kept], one.h_f[kept])
-        np.add.at(counts[stype.switched], cell[kept[directionally_valid(stype, ahead)]], 1)
+        ahead = eval_ahead(sub.take(kept), code, one.h_i[kept], one.h_f[kept])
+        np.add.at(counts[stype.switched], cell[kept[directionally_valid(code, ahead)]], 1)
     free = result.collinear.ravel() == 0
     assert _same_bits(result.counts_regular.ravel()[free], counts[False][free])
     assert _same_bits(result.counts_switched.ravel()[free], counts[True][free])
@@ -247,7 +271,7 @@ def test_fused_seed_study_equals_per_type_loop():
     hi0, hf0 = a.ravel(), b.ravel()
     want = []
     for tid in (6, 1, 8):
-        res = batch.newton(RayBatch.from_instance(inst), SolutionType.from_id(tid), hi0 / r, hf0 / r)
+        res = batch.newton(RayBatch.from_instance(inst), np.full(hi0.size, tid - 1, np.int8), hi0 / r, hf0 / r)
         for q in range(hi0.size):
             conv = bool(res.converged[q])
             root = (float(res.h_i[q] * r), float(res.h_f[q] * r)) if conv else (None, None)
@@ -268,12 +292,13 @@ def test_fused_gradient_study_equals_per_type_loop():
     rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), tuple(xf.T), tuple(vf.T))
     counts = {True: np.zeros(n, np.int64), False: np.zeros(n, np.int64)}
     for stype in ALL_TYPES:
+        code = stype.type_id - 1
         for use_gradient in (True, False):
             res = batch.newton(
-                rb, stype, seed[:, 0] * span, seed[:, 1] * span,
+                rb, np.full(n, code, np.int8), seed[:, 0] * span, seed[:, 1] * span,
                 use_gradient=use_gradient, h_limit=runaway_limit(float(span.max())),
             )
-            counts[use_gradient] += res.converged & directionally_valid(stype, eval_ahead(rb, stype, res.h_i, res.h_f))
+            counts[use_gradient] += res.converged & directionally_valid(code, eval_ahead(rb, code, res.h_i, res.h_f))
     rows = run_gradient_study(n, rng_seed=99)
     assert [r.n_with_gradient for r in rows] == counts[True].tolist()
     assert [r.n_without_gradient for r in rows] == counts[False].tolist()

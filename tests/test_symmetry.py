@@ -68,15 +68,16 @@ def test_kernel_reversal_symmetry(pair, radius, rng_seed):
     hi, hf = rng.uniform(-8, 8, (2, 16))
     batch, rev_batch = RayBatch.from_instance(inst), RayBatch.from_instance(rev)
     for stype in ALL_TYPES:
-        p_i, p_f, _ = eval_residuals(batch, stype, hi, hf)
-        q_i, q_f, _ = eval_residuals(rev_batch, REVERSED[stype], -hf, -hi)
+        code, rev_code = stype.type_id - 1, REVERSED[stype].type_id - 1
+        p_i, p_f, _ = eval_residuals(batch, code, hi, hf)
+        q_i, q_f, _ = eval_residuals(rev_batch, rev_code, -hf, -hi)
         # in units of r: the residuals swap and change sign
         assert close(q_i, -p_f, 1e-12) and close(q_f, -p_i, 1e-12), stype
         # the separation d + sigma (s_i T_i - s_f T_f) is unchanged, to
         # rounding of its largest term
         scale = np.fmax(1.0, np.fmax(np.abs(p_i - hi), np.abs(p_f - hf)))
-        ahead = eval_ahead(batch, stype, hi, hf) / scale
-        assert close(eval_ahead(rev_batch, REVERSED[stype], -hf, -hi) / scale, ahead, 1e-12), stype
+        ahead = eval_ahead(batch, code, hi, hf) / scale
+        assert close(eval_ahead(rev_batch, rev_code, -hf, -hi) / scale, ahead, 1e-12), stype
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
