@@ -21,14 +21,15 @@ p_f = h_f + s_f T_f, with T_i = tan(phi_i / 2) = (d - sigma A)/sqrt(Q_i),
 formed as sqrt(Q_i)/(d + sigma A) where sigma A > 0 so nothing cancels, and
 T_f the same in B and Q_f; sigma is the type's direction.  The geometric
 formulas stay in `residual`, the independent reference the tests pin this
-kernel against and through which `solve_all` re-verifies its roots.
+kernel against and through which `solve_all` reports its roots' residuals
+and geometry.
 Singular evaluations (d <= EPS_SING, or sqrt(Q) <= EPS_SING d at either
 end) yield NaN and the owning element is dropped.
 
 Numpy call overhead, not arithmetic, sets the kernel's cost, so `newton`
 makes few, large calls: its line search tests a ladder of step sizes 2^-k
-for every pending element in one call, as many as fit in the Newton batch
-it serves, and a batch of many instances gathers its invariants once per
+for every pending element in one call, as many as fit in the Newton batch's
+first size, and a batch of many instances gathers its invariants once per
 evaluation.
 """
 
@@ -44,7 +45,7 @@ from .residual import ALL_TYPES, EPS_SING
 # Step control: take the first of the steps 2^-k times the Newton step,
 # k < MAX_HALVINGS, that lowers the residual norm, else give up on the
 # element.  One kernel call tests several k for every pending element, as
-# many as fit in the Newton batch (see _line_search).
+# many as fit in the Newton batch's first size (see _line_search).
 MAX_HALVINGS = 20
 # Elements whose residual norm has not improved by 1% over this many
 # iterations are abandoned as non-converging (they hug singular ridges).
@@ -228,7 +229,7 @@ def _pad(pos: np.ndarray, cap: int) -> np.ndarray:
     return pos if size == m else np.concatenate((pos, pos[: size - m]))
 
 
-def _line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, live):
+def _line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, live, cap):
     """Take for each of the first `live` elements the first step 2^-k
     (dhi, dhf), k < MAX_HALVINGS, that lowers the residual norm below fn,
     and write it into hi, hf, p_i, p_f and fn.
@@ -236,19 +237,21 @@ def _line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, live):
     Returns the halvings k spent per position: MAX_HALVINGS where no step
     was accepted, and at every position from `live` on (copies, not
     searched).  Each kernel call tests a ladder of consecutive step sizes
-    for every pending element, as many as fit in the batch it serves
-    (hi.size // pending, at least one, at most the halvings left), so a
-    call never holds more elements than the Newton batch.  Each 2^-k is
-    exact, so the result is that of halving one step at a time.
+    for every pending element, as many as fit in cap elements (cap //
+    pending, at least one, at most the halvings left): cap is the Newton
+    batch's first size, so a call never holds more elements than the
+    batch's first evaluation did, and a few stragglers left in a shrunk
+    batch still test many rungs per call.  Each 2^-k is exact, so the
+    result is that of halving one step at a time.
     """
     spent = np.full(hi.size, MAX_HALVINGS)
     pend = np.arange(live)
     k = 0
     while pend.size and k < MAX_HALVINGS:
         n = pend.size
-        rungs = max(1, min(hi.size // n, MAX_HALVINGS - k))
+        rungs = max(1, min(cap // n, MAX_HALVINGS - k))
         # rung-major: flat position j tests element pend[j % n] at 2^-(k + j // n)
-        flat = _pad(np.arange(n * rungs), hi.size)
+        flat = _pad(np.arange(n * rungs), cap)
         at = pend[flat % n]
         lam = np.ldexp(1.0, -(k + flat // n))
         thi = hi[at] + lam * dhi[at]
@@ -386,7 +389,7 @@ def newton(
         dhf = (-cpf * jii + cpi * jfi) / det
         del jii, jif, jfi, jff, det
         # updated in place: shrink() made these arrays, and nothing else holds them
-        spent = _line_search(cur, types, chi, chf, cpi, cpf, cfn, dhi, dhf, live)
+        spent = _line_search(cur, types, chi, chf, cpi, cpf, cfn, dhi, dhf, live, n_total)
         out.halvings[idx[:live]] += spent[:live]
         keep = spent < MAX_HALVINGS
         if len(hist) >= PLATEAU_WINDOW:

@@ -6,8 +6,9 @@ seeds its cells from as well.  `multistart` is the one layout of such a
 solve: one Newton batch over every (type, instance, seed) element, its
 converged iterates merged per (type, instance) by `dedup`, the smallest
 residual winning each cluster.  `solve_all` runs it on one instance and
-re-verifies only the survivors through the scalar evaluation path; they
-come back in a deterministic order.  `collinear` is the one test for
+accepts the survivors on the kernel's residual, reporting only their
+residuals and geometry from the scalar evaluation path; they come back in a
+deterministic order.  `collinear` is the one test for
 instances the two-offset parametrization cannot express.  Directional
 validity is a separate concern handled by the `path` module.  Every solve
 runs on the instance scaled to unit radius, so tolerances are in units of r
@@ -21,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import batch as _batch
-from .batch import DEFAULT_RESIDUAL_TOL
+from .batch import DEFAULT_RESIDUAL_TOL  # noqa: F401  the bound every solve_all root meets
 from .geom import EPS_ZERO, DubinsError, ProblemInstance
 from .residual import ALL_TYPES, Geometry, HPair, ResidualPair, SolutionType, residuals
 
 # In units of the turn radius: roots closer than DEFAULT_DEDUP_TOL merge.
-# Newton stops at batch.DEFAULT_RESIDUAL_TOL, the bound solve_all also
-# re-verifies every root against.
+# Newton stops at batch.DEFAULT_RESIDUAL_TOL, the kernel residual every
+# solve_all root meets.
 DEFAULT_DEDUP_TOL = 1e-6
 # Seeds wandering beyond this multiple of the seeding half-width are abandoned.
 RUNAWAY_SCALE = 100.0
@@ -249,10 +250,11 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
     for q, (t, s) in enumerate(zip(types, seeds)):
         stype = ALL_TYPES[t]
         hp = HPair(float(run.h_i[q]), float(run.h_f[q]))
+        # accepted on the kernel's residual, which newton bounds by
+        # DEFAULT_RESIDUAL_TOL; the scalar path, where 1 - g.v cancels near
+        # collinear pairs, only reports the residual and the geometry
         res, geo = residuals(unit, stype, hp)
-        # re-verified through the scalar path; drop anything that drifted
-        if res.max_abs() <= DEFAULT_RESIDUAL_TOL:
-            seed = HPair(float(hi0[s]), float(hf0[s]))
-            out.append(_candidate(r, stype, hp, res, geo, int(run.iterations[q]), seed))
+        seed = HPair(float(hi0[s]), float(hf0[s]))
+        out.append(_candidate(r, stype, hp, res, geo, int(run.iterations[q]), seed))
     out.sort(key=lambda c: (c.type_id, c.hp.h_i, c.hp.h_f))
     return out

@@ -1,10 +1,11 @@
 """Solution-space studies: parameter sweeps, seed sensitivity, gradient use.
 
 Each study runs one Newton batch (the gradient study one per Jacobian
-mode).  A sweep and the gradient study run `solver.multistart`, the
-multistart of `solve_all`, with one instance per cell or case: a sweep over
-every (type, cell, seed), each cell's roots of a type merged (smallest
-residual wins), the gradient study from one seed per case.  A robust sweep
+mode, a sweep one per chunk of at most SWEEP_CHUNK_ELEMS elements).  A
+sweep and the gradient study run `solver.multistart`, the multistart of
+`solve_all`, with one instance per cell or case: a sweep over every (type,
+cell, seed), each cell's roots of a type merged (smallest residual wins),
+the gradient study from one seed per case.  A robust sweep
 seeds each cell with `solver.seed_grid`, the seeds `solve_all` uses, and
 every sweep flags collinear cells with `solver.collinear`, the test
 `solve_all` makes.  The seed study keeps every seed's own outcome, so it
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import RayBatch, directionally_valid, eval_ahead, newton
-from .residual import REGULAR_TYPES, SolutionType
+from .residual import ALL_TYPES, REGULAR_TYPES, SolutionType
 from .scenarios import Scenario
 from .solver import GRID_MAX_ITERS, collinear, multistart, runaway_limit, seed_grid
 
@@ -30,6 +31,10 @@ SWEEP_MODES = ("planar", "nonplanar")
 # Swept axis ranges: positions on [-6, 6] (inclusive, symmetric about 0) and
 # angles on [0, 2 pi) (half-open).
 POSITION_RANGE = 6.0
+# Newton elements per sweep chunk: run_sweep runs whole cells, at most this
+# many (type, cell, seed) elements at a time (at least one cell), so its
+# memory does not grow with the slice.
+SWEEP_CHUNK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,12 +117,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Each cell is solved from the single seed (0, 0), or with robust_seeds
     from `solver.seed_grid` over its own span, the seeds `solve_all` gives
     the cell's instance.  `solver.multistart` runs every (type, cell, seed)
-    in one Newton batch and merges each cell's roots of a type (smallest
-    residual wins), and one more evaluation tests the survivors for
-    direction.  Collinear cells (`solver.collinear`: start and goal rays on
-    one line) cannot be expressed in the two-offset parametrization; they
-    are flagged and given count 1 when the straight connection itself is a
-    valid path.
+    of a chunk of whole cells, at most SWEEP_CHUNK_ELEMS elements, in one
+    Newton batch and merges each cell's roots of a type (smallest residual
+    wins), and one more evaluation tests the survivors for direction.
+    Elements never interact and the runaway limit is the whole slice's, so
+    the counts do not depend on the chunking.  Collinear cells
+    (`solver.collinear`: start and goal rays on one line) cannot be
+    expressed in the two-offset parametrization; they are flagged and given
+    count 1 when the straight connection itself is a valid path.
     """
     name_a, name_b = spec.swept
     axis_a = axis_values(name_a, spec.steps)
@@ -135,8 +142,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     span = np.sqrt(x * x + z * z) + 4.0  # ProblemInstance.span at r = 1
     # seeds (0, 0), or with robust_seeds the solver's grid over each cell's span
     hi0, hf0 = seed_grid(span) if spec.robust_seeds else (np.zeros((n, 1)), np.zeros((n, 1)))
-    run, types, cells, _ = multistart(rb, hi0, hf0, GRID_MAX_ITERS, h_limit=runaway_limit(float(span.max())))
-    valid = directionally_valid(types, eval_ahead(rb.take(cells), types, run.h_i, run.h_f))
+    h_limit = runaway_limit(float(span.max()))
+    step = max(1, SWEEP_CHUNK_ELEMS // (len(ALL_TYPES) * hi0.shape[1]))
+    types, cells, valid = [], [], []
+    for c0 in range(0, n, step):
+        chunk = rb.take(np.arange(c0, min(c0 + step, n)))
+        run, t, c, _ = multistart(chunk, hi0[c0 : c0 + step], hf0[c0 : c0 + step], GRID_MAX_ITERS, h_limit=h_limit)
+        valid.append(directionally_valid(t, eval_ahead(chunk.take(c), t, run.h_i, run.h_f)))
+        types.append(t)
+        cells.append(c + c0)
+    types, cells, valid = (np.concatenate(v) for v in (types, cells, valid))
     switched = types >= len(REGULAR_TYPES)
     counts_reg = np.bincount(cells[valid & ~switched], minlength=n)
     counts_sw = np.bincount(cells[valid & switched], minlength=n)

@@ -279,7 +279,7 @@ def test_newton_evaluates_ladder_sizes_only(monkeypatch):
     assert all(s == 656 or (s <= PAD_STEP and s & (s - 1) == 0) or s % PAD_STEP == 0 for s in sizes), sorted(sizes)
 
 
-def sequential_line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, live):
+def sequential_line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, live, cap):
     """The line search without the step ladder: all pending elements try one
     step length per kernel call, halved after every call."""
     spent = np.full(hi.size, MAX_HALVINGS)

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dubins3d import oracle
 from dubins3d.batch import RayBatch, eval_residuals, newton
 from dubins3d.geom import Configuration, ProblemInstance, instance
 from dubins3d.oracle import (
@@ -362,3 +364,67 @@ def test_window_slack_is_in_units_of_r():
     assert len(found[1e-8]) == 2
     for a, b in zip(found[1.0], found[1e-8]):
         assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) < 1e-6
+
+
+def _boundary_window():
+    """A 200-cell window on planar_far whose type-1 root lies in cell row
+    80, the last cell of the first block (81 node rows plus the overlap
+    row at the default BLOCK_NODES)."""
+    root = enumerate_all_types(PLANAR_FAR, GridWindow.for_instance(PLANAR_FAR, 400), (SolutionType.from_id(1),))[1][0]
+    step = 0.02
+    lo_i, lo_f = root.h_i - 80.5 * step, root.h_f - 100.3 * step
+    return GridWindow((lo_i, lo_i + 200 * step), (lo_f, lo_f + 200 * step), 200)
+
+
+def _block_cases():
+    """(instance, window): planar_far and nonplanar_close_2 at a resolution
+    inside one block (16), one whose rows divide into whole blocks (400)
+    and one that leaves a last block of a single cell row (128); a
+    collinear pair; and a root's crossing cell next to a block boundary."""
+    cases = []
+    for name in ("planar_far", "nonplanar_close_2"):
+        inst = load_bundled(name).instance
+        cases += [(inst, GridWindow.for_instance(inst, res)) for res in (16, 400, 128)]
+    cases.append((instance((0, 0, 0), (0, 0, 1), (0, 0, 5), (0, 0, 1)), GridWindow.square(5.0, 128)))
+    cases.append((PLANAR_FAR, _boundary_window()))
+    return cases
+
+
+def test_block_cases_cover_one_block_whole_blocks_a_single_last_row_and_a_boundary():
+    step = lambda res: oracle.BLOCK_NODES // (res + 1)
+    assert step(16) >= 16
+    assert 400 % step(400) == 0 and 400 // step(400) > 1
+    assert 128 % step(128) == 1
+    assert step(200) == 81
+    cmap = next(sample_contours(PLANAR_FAR, _boundary_window(), (SolutionType.from_id(1),)))
+    assert 80 in cmap.intersection_cells()[:, 0]
+
+
+def test_block_sampler_equals_whole_grid_sampling_bitwise(monkeypatch):
+    fields = ("h_i_nodes", "h_f_nodes", "p_i", "p_f", "singular", "crossings_i", "crossings_f")
+    cases = _block_cases()
+    blocked = [(list(sample_contours(inst, w)), enumerate_all_types(inst, w)) for inst, w in cases]
+    monkeypatch.setattr(oracle, "BLOCK_NODES", 1 << 30)
+    for (inst, window), (maps, roots) in zip(cases, blocked):
+        whole = list(sample_contours(inst, window))
+        assert [c.stype for c in maps] == [c.stype for c in whole]
+        for got, want in zip(maps, whole):
+            for name in fields:
+                assert _same_bits(getattr(got, name), getattr(want, name)), (inst, window, got.stype, name)
+        assert roots == enumerate_all_types(inst, window), (inst, window)
+    collinear = blocked[-2][0]
+    assert all(c.singular.all() for c in collinear)
+    assert len(blocked[-1][1][1]) == 1
+
+
+def test_enumerate_all_types_forms_no_whole_grid_field():
+    # a 401^2 float64 field is 1.29 MB; the whole-grid sampler peaked at 18.4 MB
+    window = GridWindow.for_instance(PLANAR_FAR, 400)
+    enumerate_all_types(PLANAR_FAR, window)  # numpy's small-array caches
+    tracemalloc.start()
+    try:
+        enumerate_all_types(PLANAR_FAR, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak

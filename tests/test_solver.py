@@ -199,9 +199,8 @@ def solve_all_per_type(inst, opts):
         stype = ALL_TYPES[group[q]]
         hp = HPair(float(h_i[q]), float(h_f[q]))
         res, geo = residuals(unit, stype, hp)
-        if res.max_abs() <= DEFAULT_RESIDUAL_TOL:
-            seed = HPair(float(hi0[q % k]), float(hf0[q % k]))
-            out.append(_candidate(r, stype, hp, res, geo, int(iterations[q]), seed))
+        seed = HPair(float(hi0[q % k]), float(hf0[q % k]))
+        out.append(_candidate(r, stype, hp, res, geo, int(iterations[q]), seed))
     out.sort(key=lambda c: (c.type_id, c.hp.h_i, c.hp.h_f))
     return out
 

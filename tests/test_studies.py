@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dubins3d import batch
+from dubins3d import batch, studies
 from dubins3d.batch import RayBatch, directionally_valid, eval_ahead
 from dubins3d.geom import instance
-from dubins3d.path import check_directionality
+from dubins3d.path import check_directionality, extract_path, verify_path
 from dubins3d.residual import ALL_TYPES, HPair
 from dubins3d.scenarios import Scenario, load_bundled
 from dubins3d.solver import CollinearInstance, SolverOptions, dedup, runaway_limit, solve_all
@@ -317,3 +317,40 @@ def test_robust_sweep_slice_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 3.0 * 2**20, peak
+
+
+def test_chunked_sweep_equals_one_batch(monkeypatch):
+    # 25 cells of 656 elements; 7 cells a chunk gives chunks of 7, 7, 7 and 4
+    spec = SweepSpec("planar", ("angle", 0.0), steps=5, robust_seeds=True)
+    whole = run_sweep(spec)
+    calls = []
+    newton = batch.newton
+
+    def record(rb, types, h_i, h_f, *args, **kwargs):
+        calls.append(h_i.size)
+        return newton(rb, types, h_i, h_f, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "newton", record)
+    monkeypatch.setattr(studies, "SWEEP_CHUNK_ELEMS", 7 * 656 + 100)
+    chunked = run_sweep(spec)
+    assert calls == [7 * 656] * 3 + [4 * 656]
+    assert whole.collinear.any()
+    for name in ("counts", "counts_regular", "counts_switched", "collinear"):
+        assert _same_bits(getattr(chunked, name), getattr(whole, name)), name
+    assert list(chunked.rows()) == list(whole.rows())
+
+
+def test_solve_all_keeps_kernel_roots_where_the_scalar_residual_cancels():
+    # at x = 5e-10 the four regular roots sit at h ~ +-1.25e-9 with a kernel
+    # residual of about 1e-17, where the scalar residual's 1 - g.v cancels
+    # to 1.25e-9
+    x, z = 5e-10, 0.2
+    result = run_sweep(SweepSpec("planar", ("x", x), 61))
+    i = int(np.flatnonzero(result.axis_a == z)[0])
+    assert result.axis_b[0] == 0.0 and result.collinear[i, 0] == 0 and result.counts[i, 0] == 4
+    inst = instance((0, 0, 0), (0, 0, 1), (x, 0, z), (0, 0, 1))
+    valid = [c for c in solve_all(inst) if check_directionality(c).valid]
+    assert len(valid) == result.counts[i, 0]
+    assert sorted(c.type_id for c in valid) == [1, 2, 3, 4]
+    for c in valid:
+        assert verify_path(extract_path(c, inst), inst).ok
