@@ -156,6 +156,18 @@ def _tangents(batch: RayBatch, types, hi, hf):
     return A, B, c, d, q_i, q_f, r_i, r_f, sig, s_i, s_f, t_i, t_f
 
 
+def _jacobian(A, B, c, d, q_i, q_f, r_i, r_f, sig, s_i, s_f, t_i, t_f):
+    """(dpi_dhi, dpi_dhf, dpf_dhi, dpf_dhf) from _tangents' values."""
+    # d'(h_i) = -A/d, d'(h_f) = B/d; Q_i'(h_f) = 2 (B - A c), Q_f'(h_i) = 2 (B c - A)
+    sc = sig * c
+    return (
+        1.0 + s_i * sig * t_i / d,
+        s_i * ((B / d - sc) / r_i - t_i * (B - A * c) / q_i),
+        s_f * ((sc - A / d) / r_f - t_f * (B * c - A) / q_f),
+        1.0 - s_f * sig * t_f / d,
+    )
+
+
 def eval_residuals(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray, jac: bool = False):
     """Residual pair (and optionally Jacobian entries) for every element.
 
@@ -163,20 +175,17 @@ def eval_residuals(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray, jac: 
     (p_i, p_f, J) with NaN where the geometry is singular; J is None unless
     requested, else the tuple (dpi_dhi, dpi_dhf, dpf_dhi, dpf_dhf).
     """
-    A, B, c, d, q_i, q_f, r_i, r_f, sig, s_i, s_f, t_i, t_f = _tangents(batch, types, hi, hf)
+    tangents = _tangents(batch, types, hi, hf)
+    s_i, s_f, t_i, t_f = tangents[-4:]
     p_i = hi + s_i * t_i
     p_f = hf + s_f * t_f
-    if not jac:
-        return p_i, p_f, None
-    # d'(h_i) = -A/d, d'(h_f) = B/d; Q_i'(h_f) = 2 (B - A c), Q_f'(h_i) = 2 (B c - A)
-    sc = sig * c
-    J = (
-        1.0 + s_i * sig * t_i / d,
-        s_i * ((B / d - sc) / r_i - t_i * (B - A * c) / q_i),
-        s_f * ((sc - A / d) / r_f - t_f * (B * c - A) / q_f),
-        1.0 - s_f * sig * t_f / d,
-    )
-    return p_i, p_f, J
+    return p_i, p_f, _jacobian(*tangents) if jac else None
+
+
+def eval_jacobian(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray):
+    """The Jacobian entries of eval_residuals(..., jac=True) alone, NaN
+    where the geometry is singular."""
+    return _jacobian(*_tangents(batch, types, hi, hf))
 
 
 def eval_ahead(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray) -> np.ndarray:
@@ -375,7 +384,7 @@ def newton(
         if k == max_iters:
             break
         if use_gradient:
-            jii, jif, jfi, jff = eval_residuals(cur, types, chi, chf, jac=True)[2]
+            jii, jif, jfi, jff = eval_jacobian(cur, types, chi, chf)
         else:
             jii, jif, jfi, jff = eval_fd_jacobian(cur, types, chi, chf)
         det = jii * jff - jif * jfi

@@ -102,6 +102,12 @@ def point_line_distance(p: Vec3, origin: Vec3, direction: UnitVec3) -> float:
     return (d - along * direction).norm()
 
 
+def offset_span(chord, radius=1.0):
+    """chord + 4 radius: the half-width of the offsets searched for a pair
+    whose positions are chord apart, for a float or an array of chords."""
+    return chord + 4.0 * radius
+
+
 @dataclass(frozen=True, slots=True)
 class Configuration:
     """A position together with a unit heading."""
@@ -134,8 +140,8 @@ class ProblemInstance:
     @property
     def span(self) -> float:
         """Default half-width of the solver's seed grid and the oracle's
-        window: chord + 4 radius."""
-        return self.chord + 4.0 * self.radius
+        window (`offset_span`)."""
+        return offset_span(self.chord, self.radius)
 
     def in_radius_units(self) -> "ProblemInstance":
         """The same instance with every length divided by the radius."""

@@ -1,16 +1,25 @@
 """Brute-force enumeration of tangency-system roots over an offset window.
 
-Independent of the multistart solver's seeding: the residual fields of all
+Independent of the multistart solver's seeding: the residual fields of the
 requested types are sampled on a dense grid from the batch kernel's
-invariants, cells where both fields change sign are detected in
-marching-squares fashion, and one Newton batch refines from the centre of
-every such cell of every type (`enumerate_all_types`, for all eight types or
-any subset); `sample_contours` exports the fields for plotting.  Both read
-one sampler that walks the grid in blocks of h_i node rows
+invariants, cells where both of a type's fields change sign are detected
+in marching-squares fashion, and one Newton batch refines from the centre
+of every such cell of every type (`enumerate_all_types`, for all eight
+types or any subset); `sample_contours` exports the fields for plotting.
+Both read one sampler that walks nodes in blocks of h_i node rows
 (`_sample_blocks`): a 401^2 float64 field is 1.29 MB, so a whole-grid
-pass is bound by memory bandwidth, and `enumerate_all_types` never forms a
-field of the whole grid.  As in `solver`, both run in units of the radius;
-windows, fields and roots are in the instance's own units.
+pass is bound by memory bandwidth.
+
+`enumerate_all_types` samples only where a root can lie.  p_i = h_i +
+s_i T_i with T_i >= 0, and fl(h + T) >= h, so p_i >= ZERO_SNAP wherever
+s_i = +1 and h_i >= ZERO_SNAP (and <= -ZERO_SNAP wherever s_i = -1 and
+h_i <= -ZERO_SNAP): no such cell crosses, and p_f likewise.  So the types
+of each sign pair (s_i, s_f) sample their dense p_i fields only on that
+quadrant's node rows and columns (`_reach`), and p_f only at the corners
+of their p_i crossing cells.  Every node value is the whole grid's, so the
+cells, and the roots, are exactly those of `sample_contours`' maps.  As in
+`solver`, both run in units of the radius; windows, fields and roots are
+in the instance's own units.
 """
 
 from __future__ import annotations
@@ -107,7 +116,12 @@ class ContourMap:
 
 def _cell_crossings(field: np.ndarray) -> np.ndarray:
     """Cells whose four nodes are finite and neither all >= ZERO_SNAP nor
-    all <= -ZERO_SNAP: a sign change, or a node within ZERO_SNAP of zero."""
+    all <= -ZERO_SNAP: a sign change, or a node within ZERO_SNAP of zero.
+
+    The first two axes of field index the h_i and h_f nodes, so a node grid
+    gives its cells and a (2, 2, m) array of the corners of m cells gives
+    those m cells, as (1, 1, m).
+    """
 
     def every(node: np.ndarray) -> np.ndarray:
         rows = node[:-1] & node[1:]
@@ -116,47 +130,66 @@ def _cell_crossings(field: np.ndarray) -> np.ndarray:
     return every(np.isfinite(field)) & ~every(field >= ZERO_SNAP) & ~every(field <= -ZERO_SNAP)
 
 
-def _sample_blocks(inst: ProblemInstance, window: GridWindow, stypes: list[SolutionType]):
-    """The requested types' distinct fields over the window, in units of r,
-    one block of h_i node rows at a time.
+def _reach(h: np.ndarray, sign: int) -> tuple[int, int]:
+    """The cells [lo, hi) between the nodes h (in units of r) where a field
+    h + sign T, T >= 0, can cross: those with a node below ZERO_SNAP for
+    sign +1 and above -ZERO_SNAP for sign -1, since fl(h + T) >= h.  Empty
+    as (0, 0)."""
+    near = np.minimum(h[:-1], h[1:]) < ZERO_SNAP if sign > 0 else np.maximum(h[:-1], h[1:]) > -ZERO_SNAP
+    cells = np.flatnonzero(near)
+    return (int(cells[0]), int(cells[-1]) + 1) if cells.size else (0, 0)
 
-    Yields (first node row, fields), fields mapping (end, switched, sign) to
-    the block's field and its cell crossings: per family, one field per
-    start sign for p_i and one per end sign for p_f.  A block holds
-    max(1, BLOCK_NODES // (resolution + 1)) node rows plus the first row of
-    the next, so every cell lies in exactly one block.  The h_i nodes form
-    a column and the h_f nodes a row, so A, B and d are formed per grid
-    point, Q_i per h_f node and Q_f per h_i node (`batch.frame`).  A type
-    reads them only through its direction, which picks one of each end's
-    two half-angle tangents where sigma A (or B) <= 0, and its signs, so
-    every value has the bits `batch.eval_residuals` gives.
+
+def _fields(frame, end: str, h, keys) -> dict:
+    """The fields of the keys (end, switched, sign) of one end, in units of
+    r: p_i = h_i + s_i T_i where end is "i", p_f = h_f + s_f T_f where "f",
+    from `batch.frame`'s values and that end's offsets h.
+
+    A type reads the frame only through its direction, which picks one of
+    the end's two half-angle tangents where sigma A (or B) <= 0, and its
+    sign, so every value has the bits `batch.eval_residuals` gives.
+    """
+    keys = [(sw, s) for e, sw, s in keys if e == end]
+    if not keys:
+        return {}
+    A, B, _, d, _, _, r_i, r_f = frame
+    lin, root = (A, r_i) if end == "i" else (B, r_f)
+    tangents = _batch.half_angles(lin, d, root)
+    fields = {}
+    for switched in (False, True):
+        signs = [s for sw, s in keys if sw == switched]
+        if signs:
+            tan = np.where(lin >= 0.0 if switched else lin <= 0.0, *tangents)
+            for sign in signs:
+                # h - tan has the bits of h + (-1) tan
+                fields[end, switched, sign] = h + tan if sign > 0 else h - tan
+    return fields
+
+
+def _sample_blocks(rb: RayBatch, hi: np.ndarray, hf: np.ndarray, keys: list):
+    """The fields keys (end, switched, sign) on the nodes hi x hf, in units
+    of r, one block of h_i node rows at a time.
+
+    hi is a column of h_i nodes and hf a row of h_f nodes: a window's, or a
+    node sub-range of it.  Yields (first node row, fields), fields mapping
+    each key to the block's field and its cell crossings.  A block holds
+    max(1, BLOCK_NODES // hf.size) node rows plus the first row of the
+    next, so every cell lies in exactly one block.  A, B and d are formed
+    per node, Q_i per h_f node and Q_f per h_i node (`batch.frame`).
 
     A block's arrays stay bound until the next block is formed, so the
     malloc heap reuses their pages: freeing them at the yield let it trim
     and fault them back in, with 4.7 times the minor faults and 23% more
     time per all-types `enumerate_all_types` call at resolution 400.
     """
-    # a dict, not a set: the same order, so the same allocations, on every run
-    keys = dict.fromkeys(k for t in stypes for k in (("i", t.switched, t.start_sign), ("f", t.switched, t.end_sign)))
-    r = inst.radius
-    hi_nodes, hf_nodes = window.nodes()
-    hi, hf = (hi_nodes / r)[:, None], (hf_nodes / r)[None, :]
-    rb = RayBatch.from_instance(inst)
     step = max(1, BLOCK_NODES // hf.size)
-    for row in range(0, window.resolution, step):
+    for row in range(0, hi.shape[0] - 1, step):
         h_blk = hi[row : row + step + 1]
-        A, B, _, d, _, _, r_i, r_f = _batch.frame(rb, h_blk, hf)
+        frame = _batch.frame(rb, h_blk, hf)
         fields = {}
-        for end, h, lin, root in (("i", h_blk, A, r_i), ("f", hf, B, r_f)):
-            tangents = _batch.half_angles(lin, d, root)
-            for switched in (False, True):
-                signs = [s for e, sw, s in keys if e == end and sw == switched]
-                if not signs:
-                    continue
-                tan = np.where(lin >= 0.0 if switched else lin <= 0.0, *tangents)
-                for sign in signs:
-                    p = h + sign * tan
-                    fields[end, switched, sign] = p, _cell_crossings(p)
+        for end, h in (("i", h_blk), ("f", hf)):
+            for key, p in _fields(frame, end, h, keys).items():
+                fields[key] = p, _cell_crossings(p)
         yield row, fields
 
 
@@ -167,16 +200,18 @@ def sample_contours(
     switched, each family in the requested order.
 
     The distinct fields of all requested types are assembled from one
-    block-by-block pass (`_sample_blocks`, the sampler `enumerate_all_types`
-    reads) and scaled by r once whole; maps of one family share these
-    read-only arrays.
+    block-by-block pass over the whole window (`_sample_blocks`) and scaled
+    by r once whole; maps of one family share these read-only arrays.
     """
     order = sorted(stypes, key=lambda t: t.switched)  # stable: regular first
     r = inst.radius
     hi_nodes, hf_nodes = window.nodes()
     n = hi_nodes.size
+    # a dict, not a set: the same order, so the same allocations, on every run
+    keys = dict.fromkeys(k for t in order for k in (("i", t.switched, t.start_sign), ("f", t.switched, t.end_sign)))
     full = {}
-    for row, fields in _sample_blocks(inst, window, order):
+    rb = RayBatch.from_instance(inst)
+    for row, fields in _sample_blocks(rb, (hi_nodes / r)[:, None], (hf_nodes / r)[None, :], list(keys)):
         for key, (p, crossings) in fields.items():
             if key not in full:
                 full[key] = np.empty((n, n)), np.empty((n - 1, n - 1), bool)
@@ -192,34 +227,74 @@ def sample_contours(
         yield ContourMap(t, window, hi_nodes, hf_nodes, p_i, p_f, singular, crossings_i, crossings_f)
 
 
+def _intersection_cells(inst: ProblemInstance, window: GridWindow, found: list[SolutionType]):
+    """(owner, i, j): the row and column of every cell where both fields of
+    a type cross, and the position in found of that type, in the order of
+    found and then row-major.
+
+    The sign of T_i >= 0 bounds where p_i can cross (`_reach`), so the
+    types of each (start_sign, end_sign) quadrant sample the dense p_i
+    fields and crossings only on its node rows and columns, block by block
+    (`_sample_blocks`).  p_f is then formed only at the four corners of
+    each type's p_i crossing cells, all types in one `batch.frame` call, and
+    tested by the same crossing rule.  Node values are those of the whole
+    grid, so the cells are exactly those of `sample_contours`' maps.
+    """
+    r = inst.radius
+    hi_nodes, hf_nodes = window.nodes()
+    hi, hf = hi_nodes / r, hf_nodes / r
+    rb = RayBatch.from_instance(inst)
+    # per type, the row and column of each of its p_i crossing cells, row-major
+    ij = [(np.empty(0, np.intp),) * 2] * len(found)
+    for s_i, s_f in dict.fromkeys((t.start_sign, t.end_sign) for t in found):
+        (r0, r1), (c0, c1) = _reach(hi, s_i), _reach(hf, s_f)
+        if r0 == r1 or c0 == c1:
+            continue
+        quad = {k: [] for k, t in enumerate(found) if (t.start_sign, t.end_sign) == (s_i, s_f)}
+        keys = list(dict.fromkeys(("i", found[k].switched, s_i) for k in quad))
+        width = c1 - c0
+        for row, fields in _sample_blocks(rb, hi[r0 : r1 + 1, None], hf[None, c0 : c1 + 1], keys):
+            for k, flat in quad.items():
+                # flat indices: np.nonzero of a 2D block takes ten times as long
+                flat.append(np.flatnonzero(fields["i", found[k].switched, s_i][1]) + row * width)
+        for k, flat in quad.items():
+            i, j = np.divmod(np.concatenate(flat), width)
+            ij[k] = i + r0, j + c0
+    counts = [i.size for i, _ in ij]
+    i, j = (np.concatenate(a) for a in zip(*ij))
+    # p_f at the corners of those cells, as (2, 2, m) arrays indexed as a
+    # cell's nodes are
+    corner = np.array([[0], [1]])
+    hf_c = hf[j + corner][None]
+    frame = _batch.frame(rb, hi[i + corner][:, None], hf_c)
+    p_f = _fields(frame, "f", hf_c, list(dict.fromkeys(("f", t.switched, t.end_sign) for t in found)))
+    ends = np.cumsum(counts)
+    p_f = [p_f["f", t.switched, t.end_sign][..., e - n : e] for t, n, e in zip(found, counts, ends)]
+    hit = _cell_crossings(np.concatenate(p_f, axis=-1))[0, 0]
+    owner = np.repeat(np.arange(len(found)), counts)
+    return owner[hit], i[hit], j[hit]
+
+
 def enumerate_all_types(
     inst: ProblemInstance, window: GridWindow, stypes: Iterable[SolutionType] = ALL_TYPES
 ) -> dict[int, list[HPair]]:
     """All roots of every requested type inside the window, keyed by type id
     in the order `sample_contours` yields the types; no types give {}.
 
-    The centre of every cell where both fields of a type change sign is
-    collected block by block from `_sample_blocks`, so no field of the whole
-    grid is ever formed, and one Newton batch refines them all.  Refined
-    roots that escape the window by more than 1e-9 r are discarded; the rest
-    are merged per type within DEFAULT_DEDUP_TOL r (smallest residual wins)
-    and returned sorted by (h_i, h_f).
+    One Newton batch refines from the centre of every cell where both
+    fields of a type change sign (`_intersection_cells`, which never forms
+    a field of the whole grid).  Refined roots that escape the window by
+    more than 1e-9 r are discarded; the rest are merged per type within
+    DEFAULT_DEDUP_TOL r (smallest residual wins) and returned sorted by
+    (h_i, h_f).
     """
     found = sorted(stypes, key=lambda t: t.switched)  # sample_contours' order
     if not found:
         return {}
     r = inst.radius
     hi_nodes, hf_nodes = window.nodes()
-    # cells by flat index, row-major as np.argwhere would list them
-    cols = window.resolution
-    cells = [[] for _ in found]
-    for row, fields in _sample_blocks(inst, window, found):
-        for t, blocks in zip(found, cells):
-            crossings = fields["i", t.switched, t.start_sign][1] & fields["f", t.switched, t.end_sign][1]
-            blocks.append(np.flatnonzero(crossings) + row * cols)
-    cells = [np.concatenate(blocks) for blocks in cells]
-    types = np.repeat(np.array([t.type_id - 1 for t in found], np.int8), [c.size for c in cells])
-    i, j = np.divmod(np.concatenate(cells), cols)
+    owner, i, j = _intersection_cells(inst, window, found)
+    types = np.array([t.type_id - 1 for t in found], np.int8)[owner]
     hi0 = 0.5 * (hi_nodes[i] + hi_nodes[i + 1]) / r
     hf0 = 0.5 * (hf_nodes[j] + hf_nodes[j + 1]) / r
     res = _batch.newton(RayBatch.from_instance(inst), types, hi0, hf0, max_iters=GRID_MAX_ITERS)

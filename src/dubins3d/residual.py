@@ -162,6 +162,13 @@ def _effective_dir(hdir: UnitVec3, switched: bool) -> UnitVec3:
     return -hdir if switched else hdir
 
 
+def _one_minus_cos(n: float, gv: float) -> float:
+    """1 - g.v for unit g and v with n = ||v x g||, formed as n^2/(1 + g.v)
+    where g.v >= 0: since 1 - (g.v)^2 = n^2, nothing cancels near
+    collinear pairs."""
+    return n * n / (1.0 + gv) if gv >= 0.0 else 1.0 - gv
+
+
 def residuals(inst: ProblemInstance, stype: SolutionType, hp: HPair) -> tuple[ResidualPair, Geometry]:
     """Evaluate the tangency scalars and derived geometry for one type.
 
@@ -183,8 +190,8 @@ def residuals(inst: ProblemInstance, stype: SolutionType, hp: HPair) -> tuple[Re
     if n_f <= EPS_SING:
         raise ParallelDirections("goal")
 
-    p_i = hp.h_i + stype.start_sign * (r / n_i) * (1.0 - g.dot(v_i))
-    p_f = hp.h_f + stype.end_sign * (r / n_f) * (1.0 - g.dot(v_f))
+    p_i = hp.h_i + stype.start_sign * (r / n_i) * _one_minus_cos(n_i, g.dot(v_i))
+    p_f = hp.h_f + stype.end_sign * (r / n_f) * _one_minus_cos(n_f, g.dot(v_f))
     c_i = h_pt_i + (stype.start_sign * r / n_i) * (v_i - g)
     c_f = h_pt_f + (stype.end_sign * r / n_f) * (v_f - g)
     return ResidualPair(p_i, p_f), Geometry(h_pt_i, h_pt_f, hdir, c_i, c_f)
@@ -226,7 +233,7 @@ def jacobian(inst: ProblemInstance, stype: SolutionType, hp: HPair) -> tuple[Jac
             raise ParallelDirections(end)
         gv = g.dot(v)
         for b in (b_i, b_f):
-            term = -b.dot(v) / n - (1.0 - gv) * cx.dot(v.cross(b)) / n**3
+            term = -b.dot(v) / n - _one_minus_cos(n, gv) * cx.dot(v.cross(b)) / n**3
             entries.append(sign * r * term)
     return (
         Jacobian2x2(entries[0] + 1.0, entries[1], entries[2], entries[3] + 1.0),

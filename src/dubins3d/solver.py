@@ -251,8 +251,8 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
         stype = ALL_TYPES[t]
         hp = HPair(float(run.h_i[q]), float(run.h_f[q]))
         # accepted on the kernel's residual, which newton bounds by
-        # DEFAULT_RESIDUAL_TOL; the scalar path, where 1 - g.v cancels near
-        # collinear pairs, only reports the residual and the geometry
+        # DEFAULT_RESIDUAL_TOL; the scalar path, the independent reference,
+        # only reports the residual and the geometry
         res, geo = residuals(unit, stype, hp)
         seed = HPair(float(hi0[s]), float(hf0[s]))
         out.append(_candidate(r, stype, hp, res, geo, int(run.iterations[q]), seed))

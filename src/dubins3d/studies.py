@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import RayBatch, directionally_valid, eval_ahead, newton
+from .geom import offset_span
 from .residual import ALL_TYPES, REGULAR_TYPES, SolutionType
 from .scenarios import Scenario
 from .solver import GRID_MAX_ITERS, collinear, multistart, runaway_limit, seed_grid
@@ -139,7 +140,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rb = RayBatch.build((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (x, np.zeros(n), z), _goal_direction(spec.mode, angle))
     flagged, straight_ok = collinear(rb)
 
-    span = np.sqrt(x * x + z * z) + 4.0  # ProblemInstance.span at r = 1
+    span = offset_span(np.sqrt(x * x + z * z))
     # seeds (0, 0), or with robust_seeds the solver's grid over each cell's span
     hi0, hf0 = seed_grid(span) if spec.robust_seeds else (np.zeros((n, 1)), np.zeros((n, 1)))
     h_limit = runaway_limit(float(span.max()))
@@ -243,7 +244,7 @@ def run_gradient_study(n_cases: int, rng_seed: int) -> list[GradientStudyRow]:
     vf = rng.normal(size=(n_cases, 3))
     vf /= np.linalg.norm(vf, axis=1, keepdims=True)
     chord = np.linalg.norm(xf, axis=1)
-    span = chord + 4.0  # ProblemInstance.span at r = 1
+    span = offset_span(chord)
     seed_frac = rng.uniform(-1.0, 1.0, size=(n_cases, 2))
     hi0 = seed_frac[:, 0] * span
     hf0 = seed_frac[:, 1] * span

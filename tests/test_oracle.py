@@ -367,37 +367,65 @@ def test_window_slack_is_in_units_of_r():
 
 
 def _boundary_window():
-    """A 200-cell window on planar_far whose type-1 root lies in cell row
-    80, the last cell of the first block (81 node rows plus the overlap
-    row at the default BLOCK_NODES)."""
+    """A 200-cell window on planar_far, wholly in h_f < 0, whose type-1 root
+    lies in cell row 80: the last row of the first block of the (+, +)
+    quadrant, which spans all 201 h_f nodes (81 node rows plus the overlap
+    row at the default BLOCK_NODES), and likewise of the first block of
+    `sample_contours`."""
     root = enumerate_all_types(PLANAR_FAR, GridWindow.for_instance(PLANAR_FAR, 400), (SolutionType.from_id(1),))[1][0]
-    step = 0.02
+    step = 0.003
     lo_i, lo_f = root.h_i - 80.5 * step, root.h_f - 100.3 * step
     return GridWindow((lo_i, lo_i + 200 * step), (lo_f, lo_f + 200 * step), 200)
+
+
+def _straddle_window():
+    """A 32-cell window on planar_far whose cell row 16, with h_i nodes at
+    -0.1 and 0.1, holds the type-2 root at h_i = -0.090 and the type-4 root
+    at h_i = 0.095: the last row of the (+, -) quadrant and the first of the
+    (-, -) one."""
+    return GridWindow((-3.3, 3.1), (-2.7, 3.7), 32)
 
 
 def _block_cases():
     """(instance, window): planar_far and nonplanar_close_2 at a resolution
     inside one block (16), one whose rows divide into whole blocks (400)
     and one that leaves a last block of a single cell row (128); a
-    collinear pair; and a root's crossing cell next to a block boundary."""
+    collinear pair; a root's crossing cell next to a block boundary; and
+    roots in the cell row straddling h_i = 0."""
     cases = []
     for name in ("planar_far", "nonplanar_close_2"):
         inst = load_bundled(name).instance
         cases += [(inst, GridWindow.for_instance(inst, res)) for res in (16, 400, 128)]
     cases.append((instance((0, 0, 0), (0, 0, 1), (0, 0, 5), (0, 0, 1)), GridWindow.square(5.0, 128)))
     cases.append((PLANAR_FAR, _boundary_window()))
+    cases.append((PLANAR_FAR, _straddle_window()))
     return cases
 
 
 def test_block_cases_cover_one_block_whole_blocks_a_single_last_row_and_a_boundary():
-    step = lambda res: oracle.BLOCK_NODES // (res + 1)
-    assert step(16) >= 16
-    assert 400 % step(400) == 0 and 400 // step(400) > 1
-    assert 128 % step(128) == 1
-    assert step(200) == 81
-    cmap = next(sample_contours(PLANAR_FAR, _boundary_window(), (SolutionType.from_id(1),)))
+    # sample_contours' blocks span every h_f node
+    step = lambda nodes: oracle.BLOCK_NODES // nodes
+    assert step(17) >= 16
+    assert 400 % step(401) == 0 and 400 // step(401) > 1
+    assert 128 % step(129) == 1
+    assert step(201) == 81
+    # the type-1 root's cell is the last row of the first block of its quadrant
+    window = _boundary_window()
+    hi, hf = window.nodes()
+    (r0, r1), (c0, c1) = oracle._reach(hi, 1), oracle._reach(hf, 1)
+    assert (r0, c0, c1) == (0, 0, 200) and r1 > 81 and step(c1 - c0 + 1) == 81
+    cmap = next(sample_contours(PLANAR_FAR, window, (SolutionType.from_id(1),)))
     assert 80 in cmap.intersection_cells()[:, 0]
+    # the roots of types 2 and 4 lie in the one cell row both h_i quadrants share
+    window = _straddle_window()
+    hi = window.nodes()[0]
+    (row,) = np.flatnonzero((hi[:-1] < 0.0) & (hi[1:] > 0.0))
+    assert oracle._reach(hi, 1)[1] == row + 1 and oracle._reach(hi, -1)[0] == row
+    for t in (SolutionType.from_id(2), SolutionType.from_id(4)):
+        (cell,) = next(sample_contours(PLANAR_FAR, window, (t,))).intersection_cells()
+        assert cell[0] == row
+        (root,) = enumerate_all_types(PLANAR_FAR, window, (t,))[t.type_id]
+        assert hi[row] < root.h_i < hi[row + 1]
 
 
 def test_block_sampler_equals_whole_grid_sampling_bitwise(monkeypatch):
@@ -412,9 +440,10 @@ def test_block_sampler_equals_whole_grid_sampling_bitwise(monkeypatch):
             for name in fields:
                 assert _same_bits(getattr(got, name), getattr(want, name)), (inst, window, got.stype, name)
         assert roots == enumerate_all_types(inst, window), (inst, window)
-    collinear = blocked[-2][0]
+    collinear = blocked[-3][0]
     assert all(c.singular.all() for c in collinear)
-    assert len(blocked[-1][1][1]) == 1
+    assert len(blocked[-2][1][1]) == 1
+    assert [len(blocked[-1][1][t]) for t in (2, 4)] == [1, 1]
 
 
 def test_enumerate_all_types_forms_no_whole_grid_field():
@@ -428,3 +457,47 @@ def test_enumerate_all_types_forms_no_whole_grid_field():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20, peak
+
+
+def _quadrant_windows(r):
+    """64-cell windows in units of r at the edges of the quadrant walk:
+    wholly in h_i > 0, wholly in h_f < 0, with a node exactly at 0 on both
+    axes, and with one node within ZERO_SNAP of 0 on each side."""
+    w = lambda a, b: GridWindow((a[0] * r, a[1] * r), (b[0] * r, b[1] * r), 64)
+    return [
+        w((0.5, 6.0), (-5.0, 5.0)),
+        w((-5.0, 5.0), (-6.0, -0.25)),
+        w((-4.0, 4.0), (-3.0, 5.0)),
+        w((-4.0 + 3e-13, 4.0 + 3e-13), (-3.0 - 3e-13, 5.0 - 3e-13)),
+    ]
+
+
+def test_quadrant_windows_reach_their_edge_cases():
+    for r in (1e-3, 1e3):
+        wins = _quadrant_windows(r)
+        (hi, hf), (hi0, hf0), (hi1, hf1) = (w.nodes() for w in (wins[0], wins[2], wins[3]))
+        assert hi.min() > 0.0 and wins[1].h_f_range[1] < 0.0
+        assert 0.0 in hi0 / r and 0.0 in hf0 / r
+        assert ((0.0 < hi1 / r) & (hi1 / r < ZERO_SNAP)).any()
+        assert ((-ZERO_SNAP < hf1 / r) & (hf1 / r < 0.0)).any()
+
+
+def _quadrant_cases():
+    cases = _equivalence_cases()
+    for name in ("planar_far", "nonplanar_close_2", "seed_sensitivity"):
+        for r in (1e-3, 1e3):
+            inst = scaled(load_bundled(name).instance, r)
+            cases += [(inst, window) for window in _quadrant_windows(r)]
+    return cases
+
+
+def test_quadrant_walk_collects_the_intersection_cells_of_the_whole_grid():
+    for inst, window in _quadrant_cases():
+        maps = list(sample_contours(inst, window))
+        owner, i, j = oracle._intersection_cells(inst, window, list(ALL_TYPES))
+        cells = i * window.resolution + j
+        for k, cmap in enumerate(maps):
+            want = np.flatnonzero(cmap.crossings_i & cmap.crossings_f)
+            assert _same_bits(cells[owner == k], want), (inst, window, cmap.stype)
+        if window.resolution == 64:
+            assert enumerate_all_types(inst, window) == {c.stype.type_id: _refine_one_map(inst, c) for c in maps}

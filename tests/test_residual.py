@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dubins3d.batch import DEFAULT_RESIDUAL_TOL
 from dubins3d.geom import Configuration, UnitVec3, Vec3, instance, normalize, point_line_distance
 from dubins3d.oracle import GridWindow, enumerate_all_types
 from dubins3d.residual import (
@@ -16,6 +17,7 @@ from dubins3d.residual import (
     residuals,
     s_direction,
 )
+from dubins3d.solver import solve_all
 
 S2 = 1 / math.sqrt(2)
 
@@ -289,3 +291,14 @@ def test_jacobian_mirror_identity_on_symmetric_instance():
             j1, _ = jacobian(sym, stype, HPair(a, b))
             j2, _ = jacobian(sym, stype, HPair(-b, -a))
             assert j1.dpf_dhf == pytest.approx(j2.dpi_dhi, abs=1e-12)
+
+
+def test_near_collinear_candidates_report_residuals_within_tolerance():
+    # parallel headings 5e-10 r apart: at the four regular roots, h ~ +-1.25e-9 r,
+    # 1 - g.v formed directly cancelled to a reported residual of 1.25e-9 r
+    for r in (1.0, 1e-3, 1e3):
+        inst = instance((0, 0, 0), (0, 0, 1), (5e-10 * r, 0, 0.2 * r), (0, 0, 1), radius=r)
+        cands = solve_all(inst)
+        assert [c.type_id for c in cands][:4] == [1, 2, 3, 4]
+        for c in cands:
+            assert c.residual.max_abs() <= DEFAULT_RESIDUAL_TOL * r, (r, c.type_id, c.residual)

@@ -342,8 +342,7 @@ def test_chunked_sweep_equals_one_batch(monkeypatch):
 
 def test_solve_all_keeps_kernel_roots_where_the_scalar_residual_cancels():
     # at x = 5e-10 the four regular roots sit at h ~ +-1.25e-9 with a kernel
-    # residual of about 1e-17, where the scalar residual's 1 - g.v cancels
-    # to 1.25e-9
+    # residual of about 1e-17; solve_all accepts them on that residual
     x, z = 5e-10, 0.2
     result = run_sweep(SweepSpec("planar", ("x", x), 61))
     i = int(np.flatnonzero(result.axis_a == z)[0])
