@@ -168,23 +168,19 @@ def _jacobian(A, B, c, d, q_i, q_f, r_i, r_f, sig, s_i, s_f, t_i, t_f):
     )
 
 
-def eval_residuals(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray, jac: bool = False):
-    """Residual pair (and optionally Jacobian entries) for every element.
+def eval_residuals(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray):
+    """Residual pair (p_i, p_f) for every element, NaN where the geometry is
+    singular.
 
-    types is a type code, or an array of one code per element.  Returns
-    (p_i, p_f, J) with NaN where the geometry is singular; J is None unless
-    requested, else the tuple (dpi_dhi, dpi_dhf, dpf_dhi, dpf_dhf).
+    types is a type code, or an array of one code per element.
     """
-    tangents = _tangents(batch, types, hi, hf)
-    s_i, s_f, t_i, t_f = tangents[-4:]
-    p_i = hi + s_i * t_i
-    p_f = hf + s_f * t_f
-    return p_i, p_f, _jacobian(*tangents) if jac else None
+    s_i, s_f, t_i, t_f = _tangents(batch, types, hi, hf)[-4:]
+    return hi + s_i * t_i, hf + s_f * t_f
 
 
 def eval_jacobian(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray):
-    """The Jacobian entries of eval_residuals(..., jac=True) alone, NaN
-    where the geometry is singular."""
+    """Jacobian entries (dpi_dhi, dpi_dhf, dpf_dhi, dpf_dhf) of
+    eval_residuals for every element, NaN where the geometry is singular."""
     return _jacobian(*_tangents(batch, types, hi, hf))
 
 
@@ -210,10 +206,10 @@ def directionally_valid(types, ahead: np.ndarray) -> np.ndarray:
 def eval_fd_jacobian(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray):
     """Central finite-difference Jacobian, step FD_STEP (the gradient-free
     solver mode)."""
-    pi_a, pf_a, _ = eval_residuals(batch, types, hi + FD_STEP, hf)
-    pi_b, pf_b, _ = eval_residuals(batch, types, hi - FD_STEP, hf)
-    pi_c, pf_c, _ = eval_residuals(batch, types, hi, hf + FD_STEP)
-    pi_d, pf_d, _ = eval_residuals(batch, types, hi, hf - FD_STEP)
+    pi_a, pf_a = eval_residuals(batch, types, hi + FD_STEP, hf)
+    pi_b, pf_b = eval_residuals(batch, types, hi - FD_STEP, hf)
+    pi_c, pf_c = eval_residuals(batch, types, hi, hf + FD_STEP)
+    pi_d, pf_d = eval_residuals(batch, types, hi, hf - FD_STEP)
     inv = 0.5 / FD_STEP
     return ((pi_a - pi_b) * inv, (pi_c - pi_d) * inv, (pf_a - pf_b) * inv, (pf_c - pf_d) * inv)
 
@@ -265,7 +261,7 @@ def _line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, live, cap):
         lam = np.ldexp(1.0, -(k + flat // n))
         thi = hi[at] + lam * dhi[at]
         thf = hf[at] + lam * dhf[at]
-        tpi, tpf, _ = eval_residuals(batch.take(at), types[at], thi, thf)
+        tpi, tpf = eval_residuals(batch.take(at), types[at], thi, thf)
         tfn = np.hypot(tpi, tpf)
         good = (np.isfinite(tfn) & (tfn < fn[at]))[: n * rungs].reshape(rungs, n)
         hit = good.any(axis=0)
@@ -342,7 +338,7 @@ def newton(
     # the first shrink replaces chi and chf by copies before anything writes
     cur = batch
     chi, chf = out.h_i, out.h_f
-    cpi, cpf, _ = eval_residuals(cur, types, chi, chf)
+    cpi, cpf = eval_residuals(cur, types, chi, chf)
     cfn = np.hypot(cpi, cpf)
     alive = np.isfinite(cfn)
     hist: list[np.ndarray] = [cfn]

@@ -16,6 +16,7 @@ from dubins3d.batch import (
     directionally_valid,
     eval_ahead,
     eval_fd_jacobian,
+    eval_jacobian,
     eval_residuals,
     frame,
     _pad,
@@ -59,7 +60,8 @@ def test_batch_matches_scalar_reference():
         rb = RayBatch.from_instance(inst)
         for stype in ALL_TYPES:
             code = stype.type_id - 1
-            p_i, p_f, J = eval_residuals(rb, code, his / r, hfs / r, jac=True)
+            p_i, p_f = eval_residuals(rb, code, his / r, hfs / r)
+            J = eval_jacobian(rb, code, his / r, hfs / r)
             p_i, p_f = p_i * r, p_f * r
             ahead = eval_ahead(rb, code, his / r, hfs / r)
             valid = directionally_valid(code, ahead)
@@ -99,7 +101,7 @@ def test_fd_jacobian_close_to_analytic():
     his = rng.uniform(-4, 4, 64)
     hfs = rng.uniform(-4, 4, 64)
     for code in (0, 1):
-        _, _, J = eval_residuals(rb, code, his, hfs, jac=True)
+        J = eval_jacobian(rb, code, his, hfs)
         F = eval_fd_jacobian(rb, code, his, hfs)
         for a, f in zip(J, F):
             mask = np.isfinite(a) & np.isfinite(f)
@@ -203,8 +205,8 @@ def test_mixed_type_evaluations_equal_per_type_calls_bitwise():
         rb, stypes, hi, hf = mixed_batch(rng)
         types = codes(stypes)
         fused = {
-            "res": eval_residuals(rb, types, hi, hf)[:2],
-            "jac": eval_residuals(rb, types, hi, hf, jac=True),
+            "res": eval_residuals(rb, types, hi, hf),
+            "jac": eval_jacobian(rb, types, hi, hf),
             "fd": eval_fd_jacobian(rb, types, hi, hf),
         }
         ahead = eval_ahead(rb, types, hi, hf)
@@ -213,11 +215,13 @@ def test_mixed_type_evaluations_equal_per_type_calls_bitwise():
         for stype, sel in per_type(stypes):
             sub = rb.take(sel)
             code = stype.type_id - 1
-            p_i, p_f, J = eval_residuals(sub, code, hi[sel], hf[sel], jac=True)
-            want = {"res": (p_i, p_f), "jac": (p_i, p_f, *J), "fd": eval_fd_jacobian(sub, code, hi[sel], hf[sel])}
-            got = {"res": fused["res"], "jac": fused["jac"][:2] + fused["jac"][2], "fd": fused["fd"]}
+            want = {
+                "res": eval_residuals(sub, code, hi[sel], hf[sel]),
+                "jac": eval_jacobian(sub, code, hi[sel], hf[sel]),
+                "fd": eval_fd_jacobian(sub, code, hi[sel], hf[sel]),
+            }
             for name in want:
-                for a, b in zip(got[name], want[name]):
+                for a, b in zip(fused[name], want[name]):
                     assert _same_bits(a[sel], b), (stype, name)
             sub_ahead = eval_ahead(sub, code, hi[sel], hf[sel])
             assert _same_bits(ahead[sel], sub_ahead), stype
@@ -266,9 +270,9 @@ def test_newton_evaluates_ladder_sizes_only(monkeypatch):
     sizes = set()
     real = batch_mod.eval_residuals
 
-    def counting(batch, stype, hi, hf, jac=False):
+    def counting(batch, stype, hi, hf):
         sizes.add(np.size(hi))
-        return real(batch, stype, hi, hf, jac)
+        return real(batch, stype, hi, hf)
 
     monkeypatch.setattr(batch_mod, "eval_residuals", counting)
     rng = np.random.default_rng(24)
@@ -291,7 +295,7 @@ def sequential_line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, live, c
         at = _pad(pend, hi.size)
         thi = hi[at] + lam * dhi[at]
         thf = hf[at] + lam * dhf[at]
-        tpi, tpf, _ = batch_mod.eval_residuals(batch.take(at), types[at], thi, thf)
+        tpi, tpf = batch_mod.eval_residuals(batch.take(at), types[at], thi, thf)
         tfn = np.hypot(tpi, tpf)
         good = np.isfinite(tfn) & (tfn < fn[at])
         sel = at[good]
@@ -374,12 +378,15 @@ def test_kernel_emits_no_runtime_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         zeros = np.zeros(8)
-        p_i, p_f, J = eval_residuals(RayBatch.from_instance(grazing), codes(ALL_TYPES), zeros, zeros, jac=True)
+        gb, gtypes = RayBatch.from_instance(grazing), codes(ALL_TYPES)
+        p_i, p_f = eval_residuals(gb, gtypes, zeros, zeros)
+        J = eval_jacobian(gb, gtypes, zeros, zeros)
         assert np.isfinite(p_i).all() and np.isfinite(p_f).all() and all(np.isfinite(j).all() for j in J)
         for kw in (dict(h_limit=40.0), dict(use_gradient=False)):
             rb, stypes, hi, hf = mixed_batch(rng)
             types = codes(stypes)
-            p_i, _, J = eval_residuals(rb, types, hi, hf, jac=True)
+            p_i, _ = eval_residuals(rb, types, hi, hf)
+            J = eval_jacobian(rb, types, hi, hf)
             assert np.isnan(p_i).any() and np.isnan(J[1]).any()
             eval_fd_jacobian(rb, types, hi, hf)
             eval_ahead(rb, types, hi, hf)

@@ -248,7 +248,7 @@ def _per_type_contours(inst, stype, window):
     r = inst.radius
     hi_nodes, hf_nodes = window.nodes()
     a, b = np.meshgrid(hi_nodes / r, hf_nodes / r, indexing="ij")
-    p_i, p_f, _ = eval_residuals(RayBatch.from_instance(inst), stype.type_id - 1, a.ravel(), b.ravel())
+    p_i, p_f = eval_residuals(RayBatch.from_instance(inst), stype.type_id - 1, a.ravel(), b.ravel())
     p_i, p_f = p_i.reshape(a.shape), p_f.reshape(a.shape)
     singular = ~(np.isfinite(p_i) & np.isfinite(p_f))
     cross_i, cross_f = _minmax_crossings(p_i), _minmax_crossings(p_f)

@@ -69,8 +69,8 @@ def test_kernel_reversal_symmetry(pair, radius, rng_seed):
     batch, rev_batch = RayBatch.from_instance(inst), RayBatch.from_instance(rev)
     for stype in ALL_TYPES:
         code, rev_code = stype.type_id - 1, REVERSED[stype].type_id - 1
-        p_i, p_f, _ = eval_residuals(batch, code, hi, hf)
-        q_i, q_f, _ = eval_residuals(rev_batch, rev_code, -hf, -hi)
+        p_i, p_f = eval_residuals(batch, code, hi, hf)
+        q_i, q_f = eval_residuals(rev_batch, rev_code, -hf, -hi)
         # in units of r: the residuals swap and change sign
         assert close(q_i, -p_f, 1e-12) and close(q_f, -p_i, 1e-12), stype
         # the separation d + sigma (s_i T_i - s_f T_f) is unchanged, to
