@@ -63,11 +63,11 @@ FD_STEP = 1e-6
 @dataclass(frozen=True)
 class RayBatch:
     """Per-instance invariants (a, b, c, u_i, u_f, e; see the module
-    docstring): 12 floats for one instance that every element shares (row
-    is None), or a (12, m) array for m instances, with row the (N,) instance
-    of every element, which take() alone indexes."""
+    docstring) as a float64 array: (12,) for one instance that every
+    element shares (row is None), or (12, m) for m instances, with row the
+    (N,) instance of every element, which take() alone indexes."""
 
-    inv: tuple[float, ...] | np.ndarray
+    inv: np.ndarray
     row: np.ndarray | None
 
     @classmethod
@@ -79,10 +79,8 @@ class RayBatch:
         cross = lambda u, v: (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
         dx = (xf[0] - xi[0], xf[1] - xi[1], xf[2] - xi[2])
         inv = (dot(dx, vi), dot(dx, vf), dot(vi, vf), *cross(dx, vi), *cross(dx, vf), *cross(vf, vi))
-        if all(np.ndim(v) == 0 for v in inv):
-            return cls(tuple(float(v) for v in inv), None)
         inv = np.stack(np.broadcast_arrays(*(np.asarray(v, float) for v in inv)))
-        return cls(inv, np.arange(inv.shape[1]))
+        return cls(inv, None if inv.ndim == 1 else np.arange(inv.shape[1]))
 
     @classmethod
     def from_instance(cls, inst: ProblemInstance) -> "RayBatch":
@@ -100,34 +98,26 @@ class RayBatch:
 _SIGNS = np.array([(t.direction, t.start_sign, t.end_sign) for t in ALL_TYPES]).T
 
 
-def _sq_norm(u, e, h):
-    """|u + h e|^2 for float vectors u and e, as (x^2 + y^2) + z^2."""
-    x, y, z = u[0] + h * e[0], u[1] + h * e[1], u[2] + h * e[2]
-    return x * x + y * y + z * z
-
-
 def frame(batch: RayBatch, hi, hf):
     """(A, B, c, d, Q_i, Q_f, sqrt(Q_i), sqrt(Q_f)) at the offsets, d NaN
     where the geometry is singular, so all formed from it is NaN there with
     no division by zero.
 
-    One instance (floats): Q_i is formed per h_f and Q_f per h_i, so a
-    column of h_i and a row of h_f give them per node and the rest per grid
-    point.  Many instances: one gather of all 12 invariants, and each Q as
-    the sum over the (3, N) block of squares, (x^2 + y^2) + z^2 as in the
-    float path, so both paths give the same bits.
+    One formula path: g is the shared instance's (12,) array viewed as
+    (12, 1, ..., 1), so it broadcasts against offsets of any shape, or the
+    elements' own invariants, gathered once as (12, N).  Q_i is the sum
+    over g's first axis of the squares of u_i + h_f e, (x^2 + y^2) + z^2,
+    and Q_f likewise, so with one instance a column of h_i and a row of h_f
+    give them per node and the rest per grid point.
     """
     if batch.row is None:
-        a, b, c = batch.inv[:3]
-        e = batch.inv[9:12]
-        q_i = _sq_norm(batch.inv[3:6], e, hf)
-        q_f = _sq_norm(batch.inv[6:9], e, hi)
+        g = batch.inv.reshape((12,) + (1,) * max(np.ndim(hi), np.ndim(hf)))
     else:
         g = np.take(batch.inv, batch.row, axis=1)
-        # c copied: a view would keep all of g alive with it
-        a, b, c, e = g[0], g[1], g[2].copy(), g[9:12]
-        q_i = np.square(g[3:6] + hf * e).sum(axis=0)
-        q_f = np.square(g[6:9] + hi * e).sum(axis=0)
+    # c copied: a view would keep all of a gathered g alive with it
+    a, b, c, e = g[0], g[1], g[2].copy(), g[9:12]
+    q_i = np.square(g[3:6] + hf * e).sum(axis=0)
+    q_f = np.square(g[6:9] + hi * e).sum(axis=0)
     # B mirrors A, so reversing the path (ends swapped, directions negated)
     # swaps A and B exactly
     A = a + c * hf - hi
@@ -195,7 +185,9 @@ def eval_ahead(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray) -> np.nda
 
 
 def directionally_valid(types, ahead: np.ndarray) -> np.ndarray:
-    """Array form of `path.check_directionality` on eval_ahead's output.
+    """The directional-validity rule on separations in units of r, as
+    eval_ahead gives them; `path.check_directionality` applies it to one
+    root.
 
     Regular roots need the goal-side circle ahead, switched roots behind it,
     both within EPS_ZERO r; NaN (singular geometry) is never valid.

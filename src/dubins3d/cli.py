@@ -180,7 +180,11 @@ def cmd_seed_study(args) -> int:
     if scenario is None:
         return 1
     type_ids = tuple(args.type) if args.type else tuple(range(1, 9))
-    rows = run_seed_study(scenario, args.window, args.resolution, type_ids)
+    try:
+        rows = run_seed_study(scenario, args.window, args.resolution, type_ids)
+    except ValueError as exc:
+        print(f"error: invalid seed study: {exc}", file=sys.stderr)
+        return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{scenario.name}_seed_study.csv"
@@ -198,7 +202,11 @@ def cmd_seed_study(args) -> int:
 
 
 def cmd_grad_study(args) -> int:
-    rows = run_gradient_study(args.cases, args.rng_seed)
+    try:
+        rows = run_gradient_study(args.cases, args.rng_seed)
+    except ValueError as exc:
+        print(f"error: invalid gradient study: {exc}", file=sys.stderr)
+        return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"grad_study_{args.cases}_{args.rng_seed}.csv"
@@ -217,10 +225,14 @@ def cmd_contours(args) -> int:
     if scenario is None:
         return 1
     inst = scenario.instance
-    if args.window is not None:
-        window = GridWindow.square(args.window, args.resolution)
-    else:
-        window = GridWindow.for_instance(inst, args.resolution)
+    try:
+        if args.window is not None:
+            window = GridWindow.square(args.window, args.resolution)
+        else:
+            window = GridWindow.for_instance(inst, args.resolution)
+    except ValueError as exc:
+        print(f"error: invalid contour window: {exc}", file=sys.stderr)
+        return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     type_ids = tuple(args.type) if args.type else tuple(range(1, 9))

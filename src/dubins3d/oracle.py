@@ -57,6 +57,8 @@ class GridWindow:
     resolution: int = DEFAULT_RESOLUTION
 
     def __post_init__(self) -> None:
+        if not np.isfinite((*self.h_i_range, *self.h_f_range)).all():
+            raise ValueError("window ranges must be finite")
         if self.h_i_range[0] >= self.h_i_range[1] or self.h_f_range[0] >= self.h_f_range[1]:
             raise ValueError("window ranges must have lo < hi")
         if self.resolution < 16:

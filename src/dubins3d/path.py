@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .batch import directionally_valid
 from .geom import EPS_ZERO, DubinsError, ProblemInstance, UnitVec3, Vec3, normalize
 from .solver import SolutionCandidate
 
@@ -23,10 +24,6 @@ class InvalidCandidate(DubinsError):
 class ValidityVerdict:
     valid: bool
     reason: str
-
-    @property
-    def degenerate_segment(self) -> bool:
-        return self.reason == "degenerate_segment"
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,18 +88,16 @@ def check_directionality(cand: SolutionCandidate) -> ValidityVerdict:
     Regular roots need the goal-side circle ahead along the segment direction,
     switched roots behind it; a separation within EPS_ZERO r is a valid path
     whose segment degenerates to a point.  The radius r is read off the
-    candidate: the start circle's centre lies r from the segment line.
+    candidate: the start circle's centre lies r from the segment line.  The
+    separation in units of r goes to `batch.directionally_valid`, the one
+    form of the rule.
     """
     geo = cand.geometry
     r = (geo.c_i - geo.h_pt_i).cross(geo.hdir).norm()
-    ahead = (geo.c_f - geo.c_i).dot(geo.hdir)
-    if abs(ahead) <= EPS_ZERO * r:
-        return ValidityVerdict(True, "degenerate_segment")
-    if not cand.stype.switched and ahead < 0.0:
-        return ValidityVerdict(False, "regular_backward")
-    if cand.stype.switched and ahead > 0.0:
-        return ValidityVerdict(False, "switched_forward")
-    return ValidityVerdict(True, "ok")
+    ahead = (geo.c_f - geo.c_i).dot(geo.hdir) / r
+    if not directionally_valid(cand.stype.type_id - 1, ahead):
+        return ValidityVerdict(False, "switched_forward" if cand.stype.switched else "regular_backward")
+    return ValidityVerdict(True, "degenerate_segment" if abs(ahead) <= EPS_ZERO else "ok")
 
 
 def _clamped_acos(x: float) -> float:

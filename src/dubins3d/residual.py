@@ -126,14 +126,6 @@ class Jacobian2x2:
 
 
 @dataclass(frozen=True, slots=True)
-class HDirectionDerivatives:
-    """Derivatives of the segment direction with respect to each offset."""
-
-    a_i: Vec3
-    a_f: Vec3
-
-
-@dataclass(frozen=True, slots=True)
 class Geometry:
     """Derived geometry of one evaluation: offset points, segment direction
     (always oriented from the start offset point to the goal one), and the
@@ -197,7 +189,7 @@ def residuals(inst: ProblemInstance, stype: SolutionType, hp: HPair) -> tuple[Re
     return ResidualPair(p_i, p_f), Geometry(h_pt_i, h_pt_f, hdir, c_i, c_f)
 
 
-def jacobian(inst: ProblemInstance, stype: SolutionType, hp: HPair) -> tuple[Jacobian2x2, HDirectionDerivatives]:
+def jacobian(inst: ProblemInstance, stype: SolutionType, hp: HPair) -> Jacobian2x2:
     """Analytic partial derivatives of the residual pair.
 
     With w the vector between offset points and hdir = w/||w||, the direction
@@ -235,7 +227,4 @@ def jacobian(inst: ProblemInstance, stype: SolutionType, hp: HPair) -> tuple[Jac
         for b in (b_i, b_f):
             term = -b.dot(v) / n - _one_minus_cos(n, gv) * cx.dot(v.cross(b)) / n**3
             entries.append(sign * r * term)
-    return (
-        Jacobian2x2(entries[0] + 1.0, entries[1], entries[2], entries[3] + 1.0),
-        HDirectionDerivatives(a_i, a_f),
-    )
+    return Jacobian2x2(entries[0] + 1.0, entries[1], entries[2], entries[3] + 1.0)

@@ -59,6 +59,8 @@ class SweepSpec:
             raise ValueError(f"mode must be one of {SWEEP_MODES}")
         if self.fixed[0] not in ("x", "z", "angle"):
             raise ValueError("fixed variable must be x, z, or angle")
+        if not math.isfinite(self.fixed[1]):
+            raise ValueError("fixed value must be finite")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
 
@@ -193,6 +195,10 @@ def run_seed_study(
 
     half_width, seeds and roots are in the scenario's units.
     """
+    if not math.isfinite(half_width):
+        raise ValueError("half_width must be finite")
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
     inst = scenario.instance
     r = inst.radius
     vals = np.linspace(-half_width, half_width, resolution)

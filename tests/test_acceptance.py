@@ -225,7 +225,7 @@ def test_c2_recorded_type6_root_count_in_default_window():
         (6, -0.116, 0.070, "switched_forward"),
     ]
     filtered = [c for c in cands if not check_directionality(c).valid]
-    dets = [jacobian(inst, t6, c.hp)[0].det() for c in filtered]
+    dets = [jacobian(inst, t6, c.hp).det() for c in filtered]
     mine = [c.hp for c in solve_all(inst) if c.stype == t6 and window.contains(c.hp)]
     found_all = len(mine) == len(roots) and all(
         any(max(abs(a.h_i - b.h_i), abs(a.h_f - b.h_f)) < 1e-6 for a in mine) for b in roots
@@ -284,7 +284,7 @@ def test_c3_jacobian_finite_difference_1000():
             continue
         if inst.start.direction.cross(g).norm() < 0.1 or inst.goal.direction.cross(g).norm() < 0.1:
             continue
-        jac, _ = jacobian(inst, stype, hp)
+        jac = jacobian(inst, stype, hp)
         fd = []
         for dhi, dhf in ((step, 0.0), (0.0, step)):
             plus, _ = residuals(inst, stype, HPair(hp.h_i + dhi, hp.h_f + dhf))

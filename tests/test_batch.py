@@ -74,7 +74,7 @@ def test_batch_matches_scalar_reference():
                     continue
                 assert p_i[k] == pytest.approx(res.p_i, rel=1e-12, abs=1e-12)
                 assert p_f[k] == pytest.approx(res.p_f, rel=1e-12, abs=1e-12)
-                jac_ref, _ = jacobian(inst, stype, HPair(his[k], hfs[k]))
+                jac_ref = jacobian(inst, stype, HPair(his[k], hfs[k]))
                 ref = (jac_ref.dpi_dhi, jac_ref.dpi_dhf, jac_ref.dpf_dhi, jac_ref.dpf_dhf)
                 for got, want in zip((J[0][k], J[1][k], J[2][k], J[3][k]), ref):
                     assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
@@ -349,20 +349,29 @@ def test_many_instance_frame_equals_single_instance_frame_bitwise():
     many = frame(rb, hi, hf)
     assert np.isnan(many[3]).any() and np.isfinite(many[3]).any()
     for q in range(hi.size):
-        one = frame(RayBatch(tuple(float(v) for v in rb.inv[:, rb.row[q]]), None), hi[q : q + 1], hf[q : q + 1])
+        one = frame(RayBatch(rb.inv[:, rb.row[q]], None), hi[q : q + 1], hf[q : q + 1])
         for got, want in zip(many, one):
             assert _same_bits(got[q : q + 1], np.broadcast_to(want, (1,))), q
-    # a column of h_i and a row of h_f on one planar instance, singular on
-    # the row h_f = -1 (w parallel to v_i) and the column h_i = 1 (w
-    # parallel to v_f)
+    # on one planar instance, singular on the line h_f = -1 (w parallel to
+    # v_i) and the line h_i = 1 (w parallel to v_f): a column of h_i and a
+    # row of h_f, as the oracle's blocks, and the oracle's (2, 1, m) x
+    # (1, 2, m) corners of m cells, each against the gathered path
     single = RayBatch.from_instance(instance((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)))
-    col, row = np.linspace(-3, 3, 7)[:, None], np.linspace(-4, 2, 7)[None, :]
-    grid = frame(single, col, row)
-    h_i, h_f = (np.ravel(v) for v in np.broadcast_arrays(col, row))
-    flat = frame(RayBatch(np.array(single.inv)[:, None], np.zeros(h_i.size, np.intp)), h_i, h_f)
-    assert np.isnan(flat[3]).sum() == 13 and np.isfinite(flat[3]).any()
-    for got, want in zip(grid, flat):
-        assert _same_bits(np.broadcast_to(got, (col.size, row.size)).ravel(), want)
+    nodes = np.linspace(-3, 3, 7), np.linspace(-4, 2, 7)
+    i, j = np.divmod(np.arange(36), 6)
+    corner = np.array([[0], [1]])
+    cases = [
+        (nodes[0][:, None], nodes[1][None, :], 13),
+        (nodes[0][i + corner][:, None], nodes[1][j + corner][None], 44),
+    ]
+    for col, row, singular in cases:
+        shared = frame(single, col, row)
+        shape = np.broadcast_shapes(col.shape, row.shape)
+        h_i, h_f = (np.ravel(v) for v in np.broadcast_arrays(col, row))
+        flat = frame(RayBatch(single.inv[:, None], np.zeros(h_i.size, np.intp)), h_i, h_f)
+        assert np.isnan(flat[3]).sum() == singular and np.isfinite(flat[3]).any()
+        for got, want in zip(shared, flat):
+            assert _same_bits(np.broadcast_to(got, shape).ravel(), want)
 
 
 def test_kernel_emits_no_runtime_warning():

@@ -169,8 +169,31 @@ def test_sweep_csv_deterministic(tmp_path):
 
 
 def test_sweep_invalid_spec_exit_1(tmp_path):
-    assert main(["sweep", "--mode", "planar", "--fix", "q=0", "--out", str(tmp_path)]) == 1
-    assert main(["sweep", "--mode", "planar", "--fix", "angle=", "--out", str(tmp_path)]) == 1
+    for fix in ("q=0", "angle=", "z=nan", "x=inf", "angle=-inf"):
+        assert main(["sweep", "--mode", "planar", "--fix", fix, "--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["contours", "SCENARIO", "--window", "-3"],
+        ["contours", "SCENARIO", "--window", "nan"],
+        ["contours", "SCENARIO", "--window", "inf"],
+        ["contours", "SCENARIO", "--resolution", "8"],
+        ["seed-study", "SCENARIO", "--resolution", "-2"],
+        ["seed-study", "SCENARIO", "--window", "nan"],
+        ["grad-study", "--cases", "0"],
+    ],
+    ids=" ".join,
+)
+def test_study_invalid_arguments_exit_1(tmp_path, capsys, args):
+    scn = write_scenario(tmp_path, "planar_far")
+    out = tmp_path / "out"
+    assert main([str(scn) if a == "SCENARIO" else a for a in args] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_seed_study_cli(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,13 @@ def test_window_validation():
         GridWindow((1.0, -1.0), (-1.0, 1.0))
     with pytest.raises(ValueError):
         GridWindow((-1.0, 1.0), (-1.0, 1.0), resolution=8)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            GridWindow((-1.0, bad), (-1.0, 1.0))
+        with pytest.raises(ValueError):
+            GridWindow((-1.0, 1.0), (bad, 1.0))
+        with pytest.raises(ValueError):
+            GridWindow.square(bad)
     win = GridWindow.for_instance(PLANAR_FAR)
     assert win.h_i_range[1] == pytest.approx(PLANAR_FAR.chord + 4.0)
 

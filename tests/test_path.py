@@ -64,7 +64,7 @@ def test_directionality_sign_conventions():
     assert not v.valid and v.reason == "regular_backward"
     flat = synthetic_candidate(False, (0, 0, 0), (1e-12, 0, 0), (1, 0, 0))
     v = check_directionality(flat)
-    assert v.valid and v.degenerate_segment
+    assert v.valid and v.reason == "degenerate_segment"
 
 
 def test_filtered_candidate_rejected():
@@ -104,7 +104,7 @@ def test_quarter_turns_with_longer_run():
 def test_degenerate_segment_path():
     cand = candidate_at(TANGENT, QUARTER_TYPE, QUARTER_ROOT)
     verdict = check_directionality(cand)
-    assert verdict.valid and verdict.degenerate_segment
+    assert verdict.valid and verdict.reason == "degenerate_segment"
     p = extract_path(cand, TANGENT)
     assert p.segment.length == pytest.approx(0.0, abs=1e-12)
     assert p.total_length == pytest.approx(math.pi)

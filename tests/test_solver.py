@@ -270,7 +270,7 @@ def test_multistart_many_instances_equal_one_call_per_instance_bitwise(robust):
     fused = kept(*multistart(rb, hi0, hf0, **kw))
     alone = {}
     for m in range(n):
-        one = RayBatch(tuple(float(v) for v in rb.inv[:, m]), None)
+        one = RayBatch(rb.inv[:, m], None)
         alone.update(kept(*multistart(one, hi0[m], hf0[m], **kw), instance=m))
     assert fused == alone
     assert {m for _, m, _ in fused} == set(range(n - 1))  # nothing converges on the collinear pair
