@@ -6,9 +6,10 @@ instances scaled to unit radius: every length here is in units of r.  A
 batch is a RayBatch of problem data, the type codes of its elements
 (type_id - 1, an int8 array indexed as the offsets are; an evaluation also
 takes one code for all) and the offset arrays, which set its element
-count.  `newton` is the one iteration over it, with the stopping tolerance
-DEFAULT_RESIDUAL_TOL, and `solver.multistart` lays out the batches of
-(type, instance, seed) elements that the solver and the studies run.
+count.  `newton` is the one iteration over it: an element leaves its batch
+in one place, at the seeds or at the end of an iteration, converged within
+DEFAULT_RESIDUAL_TOL or dropped.  `solver.multistart` lays out the batches
+of (type, instance, seed) elements that the solver and the studies run.
 
 The tangency system depends on a start/goal pair only through rigid-motion
 invariants: with D = x_f - x_i, a = D.v_i, b = D.v_f, c = v_i.v_f and the
@@ -226,23 +227,22 @@ def _pad(pos: np.ndarray, cap: int) -> np.ndarray:
     return pos if size == m else np.concatenate((pos, pos[: size - m]))
 
 
-def _line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, live, cap):
-    """Take for each of the first `live` elements the first step 2^-k
+def _line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, pend, cap):
+    """Take for each element at the positions pend the first step 2^-k
     (dhi, dhf), k < MAX_HALVINGS, that lowers the residual norm below fn,
     and write it into hi, hf, p_i, p_f and fn.
 
     Returns the halvings k spent per position: MAX_HALVINGS where no step
-    was accepted, and at every position from `live` on (copies, not
-    searched).  Each kernel call tests a ladder of consecutive step sizes
-    for every pending element, as many as fit in cap elements (cap //
-    pending, at least one, at most the halvings left): cap is the Newton
-    batch's first size, so a call never holds more elements than the
-    batch's first evaluation did, and a few stragglers left in a shrunk
-    batch still test many rungs per call.  Each 2^-k is exact, so the
-    result is that of halving one step at a time.
+    was accepted, and at every position not in pend (not searched).  Each
+    kernel call tests a ladder of consecutive step sizes for every pending
+    element, as many as fit in cap elements (cap // pending, at least one,
+    at most the halvings left): cap is the Newton batch's first size, so a
+    call never holds more elements than the batch's first evaluation did,
+    and a few stragglers left in a shrunk batch still test many rungs per
+    call.  Each 2^-k is exact, so the result is that of halving one step at
+    a time.
     """
     spent = np.full(hi.size, MAX_HALVINGS)
-    pend = np.arange(live)
     k = 0
     while pend.size and k < MAX_HALVINGS:
         n = pend.size
@@ -307,13 +307,15 @@ def newton(
 
     types is the (N,) array of the elements' type codes, indexed as the
     offsets are.  Elements never interact, so each one's iterates, residuals
-    and iteration count do not depend on what else is in the batch.  An element
-    converges when max(|p_i|, |p_f|) <= DEFAULT_RESIDUAL_TOL.  Elements are
-    dropped when the geometry turns singular with no acceptable backtracked step,
-    when the Jacobian degenerates, when progress plateaus, or when the
-    iterate runs past h_limit.  What is left is padded with copies of live
-    elements to a ladder size (`_pad`); a copy writes the same results to
-    the same output slot as its original.
+    and iteration count do not depend on what else is in the batch.  An
+    element leaves the batch in one place (`leave`), at its seed and at the
+    end of each iteration k: converged after k iterations when
+    max(|p_i|, |p_f|) <= DEFAULT_RESIDUAL_TOL, or dropped when its seed is
+    singular, its Jacobian degenerates, no backtracked step is accepted,
+    progress plateaus, or the iterate runs past h_limit, even within
+    tolerance.  What is left is padded with copies of live elements to a
+    ladder size (`_pad`); a copy writes the same results to the same output
+    slot as its original.
     """
     n_total = len(hi0)
     out = NewtonResult(
@@ -327,18 +329,27 @@ def newton(
     )
     # positions [0, live) hold distinct elements, the rest copies of them
     idx, live = np.arange(n_total), n_total
-    # the first shrink replaces chi and chf by copies before anything writes
+    # leave() copies chi and chf before the line search writes into them
     cur = batch
     chi, chf = out.h_i, out.h_f
     cpi, cpf = eval_residuals(cur, types, chi, chf)
     cfn = np.hypot(cpi, cpf)
-    alive = np.isfinite(cfn)
     hist: list[np.ndarray] = [cfn]
 
-    def shrink(keep: np.ndarray) -> np.ndarray:
-        """Keep the distinct elements where `keep` holds, padded with
-        fresh copies; returns their positions in the old batch."""
+    def leave(keep: np.ndarray, k: int) -> None:
+        """Record the kept elements within tolerance as converged after k
+        iterations; keep the others (keep is False at copies), padded anew."""
         nonlocal idx, live, cur, types, chi, chf, cpi, cpf, cfn, hist
+        done = keep & (np.fmax(np.abs(cpi), np.abs(cpf)) <= DEFAULT_RESIDUAL_TOL)
+        if done.any():
+            sel = idx[done]
+            out.converged[sel] = True
+            out.h_i[sel] = chi[done]
+            out.h_f[sel] = chf[done]
+            out.p_i[sel] = cpi[done]
+            out.p_f[sel] = cpf[done]
+            out.iterations[sel] = k
+            keep = keep & ~done
         sel = np.flatnonzero(keep[:live])
         live = sel.size
         sel = _pad(sel, idx.size)
@@ -351,25 +362,10 @@ def newton(
         cpf = cpf[sel]
         cfn = cfn[sel]
         hist = [h[sel] for h in hist]
-        return sel
 
-    shrink(alive)
-    for k in range(max_iters + 1):
+    leave(np.isfinite(cfn), 0)
+    for k in range(1, max_iters + 1):
         if idx.size == 0:
-            break
-        done = np.fmax(np.abs(cpi), np.abs(cpf)) <= DEFAULT_RESIDUAL_TOL
-        if done.any():
-            sel = idx[done]
-            out.converged[sel] = True
-            out.h_i[sel] = chi[done]
-            out.h_f[sel] = chf[done]
-            out.p_i[sel] = cpi[done]
-            out.p_f[sel] = cpf[done]
-            out.iterations[sel] = k
-            shrink(~done)
-            if idx.size == 0:
-                break
-        if k == max_iters:
             break
         if use_gradient:
             jii, jif, jfi, jff = eval_jacobian(cur, types, chi, chf)
@@ -377,17 +373,15 @@ def newton(
             jii, jif, jfi, jff = eval_fd_jacobian(cur, types, chi, chf)
         det = jii * jff - jif * jfi
         ok = np.isfinite(det) & (np.abs(det) > 1e-14)
-        if not ok.all():
-            sel = shrink(ok)
-            if idx.size == 0:
-                break
-            jii, jif, jfi, jff, det = (a[sel] for a in (jii, jif, jfi, jff, det))
+        # not searched, a degenerate element leaves; its step divides by 1, not 0
+        det = np.where(ok, det, 1.0)
         dhi = (-cpi * jff + cpf * jif) / det
         dhf = (-cpf * jii + cpi * jfi) / det
         del jii, jif, jfi, jff, det
-        # updated in place: shrink() made these arrays, and nothing else holds them
-        spent = _line_search(cur, types, chi, chf, cpi, cpf, cfn, dhi, dhf, live, n_total)
-        out.halvings[idx[:live]] += spent[:live]
+        pend = np.flatnonzero(ok[:live])
+        # updated in place: leave() made these arrays, and nothing else holds them
+        spent = _line_search(cur, types, chi, chf, cpi, cpf, cfn, dhi, dhf, pend, n_total)
+        out.halvings[idx[pend]] += spent[pend]
         keep = spent < MAX_HALVINGS
         if len(hist) >= PLATEAU_WINDOW:
             # never plateau-kill an element that just crossed the tolerance
@@ -395,5 +389,5 @@ def newton(
             keep = keep & ((cfn <= PLATEAU_FACTOR * hist[-PLATEAU_WINDOW]) | near)
         keep = keep & (np.abs(chi) <= h_limit) & (np.abs(chf) <= h_limit)
         hist = (hist + [cfn])[-PLATEAU_WINDOW:]
-        shrink(keep)
+        leave(keep, k)
     return out

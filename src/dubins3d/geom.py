@@ -18,6 +18,11 @@ EPS_ZERO = 1e-9
 
 _UNIT_TOL = 1e-12
 
+# Largest chord in units of r the solvers represent: batch.frame squares
+# offsets up to solver.runaway_limit = 100 (chord + 4) r, and Newton's trial
+# steps beyond it, into doubles below 1.8e308 = (1.3e154)^2, so 1e150 fits.
+MAX_CHORD_RADII = 1e150
+
 
 class DubinsError(Exception):
     """Base class for all errors raised by this package."""
@@ -131,6 +136,8 @@ class ProblemInstance:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.radius) and self.radius > 0.0):
             raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
+        if not self.chord / self.radius <= MAX_CHORD_RADII:
+            raise ValueError(f"chord {self.chord!r} must be finite and at most {MAX_CHORD_RADII:g} times the radius {self.radius!r}")
 
     @property
     def chord(self) -> float:

@@ -238,9 +238,10 @@ def _intersection_cells(inst: ProblemInstance, window: GridWindow, found: list[S
     types of each (start_sign, end_sign) quadrant sample the dense p_i
     fields and crossings only on its node rows and columns, block by block
     (`_sample_blocks`).  p_f is then formed only at the four corners of
-    each type's p_i crossing cells, all types in one `batch.frame` call, and
-    tested by the same crossing rule.  Node values are those of the whole
-    grid, so the cells are exactly those of `sample_contours`' maps.
+    each type's p_i crossing cells, all types in one
+    `batch.eval_residuals` call, and tested by the same crossing rule.  Node
+    values are the whole grid's, so the cells are exactly those of
+    `sample_contours`' maps.
     """
     r = inst.radius
     hi_nodes, hf_nodes = window.nodes()
@@ -262,18 +263,14 @@ def _intersection_cells(inst: ProblemInstance, window: GridWindow, found: list[S
         for k, flat in quad.items():
             i, j = np.divmod(np.concatenate(flat), width)
             ij[k] = i + r0, j + c0
-    counts = [i.size for i, _ in ij]
+    owner = np.repeat(np.arange(len(found)), [i.size for i, _ in ij])
     i, j = (np.concatenate(a) for a in zip(*ij))
-    # p_f at the corners of those cells, as (2, 2, m) arrays indexed as a
-    # cell's nodes are
+    # p_f at the corners of those cells, each under its cell's type, as a
+    # (2, 2, m) array indexed as a cell's nodes are
     corner = np.array([[0], [1]])
-    hf_c = hf[j + corner][None]
-    frame = _batch.frame(rb, hi[i + corner][:, None], hf_c)
-    p_f = _fields(frame, "f", hf_c, list(dict.fromkeys(("f", t.switched, t.end_sign) for t in found)))
-    ends = np.cumsum(counts)
-    p_f = [p_f["f", t.switched, t.end_sign][..., e - n : e] for t, n, e in zip(found, counts, ends)]
-    hit = _cell_crossings(np.concatenate(p_f, axis=-1))[0, 0]
-    owner = np.repeat(np.arange(len(found)), counts)
+    codes = np.array([t.type_id - 1 for t in found], np.int8)
+    _, p_f = _batch.eval_residuals(rb, codes[owner], hi[i + corner][:, None], hf[j + corner][None])
+    hit = _cell_crossings(p_f)[0, 0]
     return owner[hit], i[hit], j[hit]
 
 

@@ -43,10 +43,6 @@ class Arc:
     angle: float
 
     @property
-    def degenerate(self) -> bool:
-        return self.angle == 0.0
-
-    @property
     def length(self) -> float:
         return self.radius * self.angle
 

@@ -178,15 +178,20 @@ def _same_bits(a, b):
 NEWTON_FIELDS = tuple(f.name for f in dataclasses.fields(NewtonResult))
 
 
+def batch_of(insts, per=1):
+    """The instances in units of r, each as per consecutive elements."""
+    units = [inst.in_radius_units() for inst in insts]
+    rays = [(u.start.position, u.start.direction, u.goal.position, u.goal.direction) for u in units]
+    joined = lambda f: tuple(np.repeat([ray[f].as_tuple()[k] for ray in rays], per) for k in range(3))
+    return RayBatch.build(joined(0), joined(1), joined(2), joined(3))
+
+
 def mixed_batch(rng, per=40):
     """Elements on six random pairs and one collinear (everywhere singular)
     pair, each element with a random type and random offsets in units of r."""
     insts = [random_instance(rng) for _ in range(6)] + [instance((0, 0, 0), (0, 0, 1), (0, 0, 5), (0, 0, 1))]
-    units = [inst.in_radius_units() for inst in insts]
-    rays = [(u.start.position, u.start.direction, u.goal.position, u.goal.direction) for u in units]
-    joined = lambda f: tuple(np.repeat([ray[f].as_tuple()[k] for ray in rays], per) for k in range(3))
     n = per * len(insts)
-    rb = RayBatch.build(joined(0), joined(1), joined(2), joined(3))
+    rb = batch_of(insts, per)
     stypes = [ALL_TYPES[t] for t in rng.integers(0, 8, n)]
     return rb, stypes, rng.uniform(-8, 8, n), rng.uniform(-8, 8, n)
 
@@ -259,6 +264,122 @@ def test_newton_batch_equals_one_element_runs_bitwise(kw):
             assert _same_bits(getattr(whole, name)[q : q + 1], getattr(one, name)), (q, name)
 
 
+def reference_newton(rb, code, hi, hf, max_iters=100, use_gradient=True, h_limit=np.inf):
+    """newton's rules for one element, with one-element evaluations and one
+    step length per evaluation: its (h_i, h_f, p_i, p_f, converged,
+    iterations, halvings), as newton gives them, and the rules that fired."""
+    one = lambda x: np.array([x], float)
+    types = np.array([code], np.int8)
+    tol = batch_mod.DEFAULT_RESIDUAL_TOL
+    h = one(hi), one(hf)
+    p = batch_mod.eval_residuals(rb, types, *h)
+    fn = np.hypot(*p)
+    halvings, rules = 0, []
+
+    def end(rule, k=None):
+        hp = (one(hi), one(hf), one(np.nan), one(np.nan)) if k is None else h + p
+        out = (*hp, np.array([k is not None]), np.array([k or 0], np.int64), np.array([halvings], np.int64))
+        return out, rules + [rule]
+
+    if not np.isfinite(fn[0]):
+        return end("singular start")
+    hist = [fn]
+    for k in range(max_iters + 1):
+        if max(abs(p[0][0]), abs(p[1][0])) <= tol:
+            return end({0: "converged at 0", max_iters: "converged at max_iters"}.get(k, "converged"), k)
+        if k == max_iters:
+            return end("out of iterations")
+        jac = batch_mod.eval_jacobian if use_gradient else batch_mod.eval_fd_jacobian
+        jii, jif, jfi, jff = jac(rb, types, *h)
+        det = jii * jff - jif * jfi
+        if not (np.isfinite(det[0]) and abs(det[0]) > 1e-14):
+            return end("degenerate Jacobian")
+        dhi = (-p[0] * jff + p[1] * jif) / det
+        dhf = (-p[1] * jii + p[0] * jfi) / det
+        for j in range(MAX_HALVINGS):
+            t = h[0] + 0.5**j * dhi, h[1] + 0.5**j * dhf
+            tp = batch_mod.eval_residuals(rb, types, *t)
+            tfn = np.hypot(*tp)
+            if np.isfinite(tfn[0]) and tfn[0] < fn[0]:
+                h, p, fn = t, tp, tfn
+                halvings += j
+                break
+        else:
+            halvings += MAX_HALVINGS
+            return end("no step")
+        near = max(abs(p[0][0]), abs(p[1][0])) <= tol
+        if len(hist) >= batch_mod.PLATEAU_WINDOW and not fn[0] <= batch_mod.PLATEAU_FACTOR * hist[-batch_mod.PLATEAU_WINDOW][0]:
+            if not near:
+                return end("plateau")
+            rules.append("plateau spared within tolerance")
+        if abs(h[0][0]) > h_limit or abs(h[1][0]) > h_limit:
+            return end("runaway within tolerance" if near else "runaway")
+        hist = (hist + [fn])[-batch_mod.PLATEAU_WINDOW :]
+
+
+def crafted_batch():
+    """Elements, in units of r, that fire the rules a random batch seldom
+    does: a type-5 root and seeds near roots with |h| about 55 on a far
+    pair (r = 1), and a seed 1e-6 above the singular line h_f = -1 of a
+    planar pair, where a central difference lands on that line."""
+    far = instance((0, 0, 0), (1, 0, 0), (100, 3, 2), (1, 0, 0))
+    planar = instance((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))
+    root = -55.488041523684686
+    elements = [(far, 4, root, root), (far, 4, root + 1e-3, root - 1e-3), (far, 7, 1e-3 - root, -root), (planar, 0, 0.3, 1e-6 - 1)]
+    insts, stypes, hi, hf = zip(*elements)
+    return batch_of(insts), [ALL_TYPES[c] for c in stypes], np.array(hi), np.array(hf)
+
+
+RULES = {
+    "singular start",
+    "converged at 0",
+    "converged",
+    "converged at max_iters",
+    "out of iterations",
+    "degenerate Jacobian",
+    "no step",
+    "plateau",
+    "plateau spared within tolerance",
+    "runaway",
+    "runaway within tolerance",
+}
+
+
+def check_reference(rb, stypes, hi, hf, **kw):
+    """Assert that newton gives every element reference_newton's bits;
+    returns the rules that fired."""
+    got = newton(rb, codes(stypes), hi, hf, **kw)
+    fired = set()
+    for q in range(hi.size):
+        want, rules = reference_newton(rb.take(np.array([q])), stypes[q].type_id - 1, hi[q], hf[q], **kw)
+        fired.update(rules)
+        for name, w in zip(NEWTON_FIELDS, want):
+            assert _same_bits(getattr(got, name)[q : q + 1], w), (kw, q, name, rules)
+    return fired
+
+
+def test_newton_equals_per_element_reference_bitwise(monkeypatch):
+    # each element of a mixed and a crafted batch under the settings of the
+    # other bitwise tests
+    rng = np.random.default_rng(28)
+    fired = set()
+    for use_gradient, max_iters, h_limit in [(True, 100, 40.0), (False, 100, np.inf), (True, 4, np.inf)]:
+        kw = dict(max_iters=max_iters, use_gradient=use_gradient, h_limit=h_limit)
+        for case in (mixed_batch(rng, per=30), crafted_batch()):
+            fired |= check_reference(*case, **kw)
+    # a Jacobian 400 times too steep cuts the residual by 0.25% a step, so
+    # from 1.0063e-9 it plateaus on the step that brings it within tolerance
+    inst = instance((0, 0, 0), (0, 0, 1), (-1, 0, 3), (1, 0, 1))
+    rb, types = batch_of([inst]), codes(ALL_TYPES[:1])
+    root = newton(rb, types, np.zeros(1), np.zeros(1))
+    jac = np.array(eval_jacobian(rb, types, root.h_i, root.h_f)).reshape(2, 2)
+    dhi, dhf = np.linalg.solve(jac, [1.0063e-9, 0.0])
+    real = batch_mod.eval_jacobian
+    monkeypatch.setattr(batch_mod, "eval_jacobian", lambda *a: tuple(400.0 * j for j in real(*a)))
+    fired |= check_reference(rb, ALL_TYPES[:1], root.h_i + dhi, root.h_f + dhf)
+    assert fired == RULES, RULES - fired
+
+
 def test_pad_ladder():
     for m, cap, size in [(0, 8, 0), (1, 8, 1), (3, 8, 4), (5, 5, 5), (16, 99, 16), (17, 99, 32), (33, 40, 40), (600, 656, 608)]:
         pos = 3 * np.arange(m)
@@ -283,11 +404,10 @@ def test_newton_evaluates_ladder_sizes_only(monkeypatch):
     assert all(s == 656 or (s <= PAD_STEP and s & (s - 1) == 0) or s % PAD_STEP == 0 for s in sizes), sorted(sizes)
 
 
-def sequential_line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, live, cap):
+def sequential_line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, pend, cap):
     """The line search without the step ladder: all pending elements try one
     step length per kernel call, halved after every call."""
     spent = np.full(hi.size, MAX_HALVINGS)
-    pend = np.arange(live)
     lam = 1.0
     for k in range(MAX_HALVINGS):
         if pend.size == 0:

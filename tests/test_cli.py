@@ -296,6 +296,19 @@ def test_malformed_scenario_rejected_naming_the_key(tmp_path, capsys, command, c
 
 
 @pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
+@pytest.mark.parametrize("goal, radius", [([3, 0, 1], 1e-310), ([3e155, 0, 1], 1.0)])
+def test_unrepresentable_scenario_exit_1(tmp_path, capsys, command, goal, radius):
+    # a chord the kernel cannot represent in units of r: one error line, no
+    # traceback and no overflow
+    goal = {"position": goal, "direction": [0.6, 0, 0.8]}
+    path = write_raw(tmp_path, "far", {**BASE_SCENARIO, "goal": goal, "radius": radius})
+    assert main([command, str(path), *SCENARIO_COMMANDS[command], "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load scenario") and "chord" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO_COMMANDS))
 def test_unreadable_scenario_exit_1(tmp_path, capsys, command):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dubins3d.geom import (
+    MAX_CHORD_RADII,
     Configuration,
     ProblemInstance,
     UnitVec3,
     Vec3,
     ZeroVector,
+    instance,
     normalize,
     point_line_distance,
 )
+from dubins3d.solver import solve_all
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vectors = st.builds(Vec3, finite_floats, finite_floats, finite_floats)
@@ -91,3 +94,21 @@ def test_instance_validation():
         ProblemInstance(cfg, cfg, radius=-1.0)
     inst = ProblemInstance(cfg, Configuration(Vec3(3, 4, 0), UnitVec3(0, 0, 1)), radius=2.0)
     assert inst.chord == pytest.approx(5.0)
+
+
+# start/goal pairs whose chord in units of r the kernel cannot represent: not
+# finite (a subnormal radius), or past MAX_CHORD_RADII (its squares overflow)
+UNREPRESENTABLE = [((3, 0, 1), 1e-310), ((3e155, 0, 1), 1.0)]
+
+
+@pytest.mark.parametrize("goal, radius", UNREPRESENTABLE)
+def test_instance_rejects_chords_the_kernel_cannot_represent(goal, radius):
+    with pytest.raises(ValueError, match="chord"):
+        instance((0, 0, 0), (0, 0, 1), goal, (0.6, 0, 0.8), radius=radius)
+
+
+def test_largest_chord_solves_without_warning():
+    # tier-1 turns a RuntimeWarning, such as an overflow, into an error
+    inst = instance((0, 0, 0), (1, 0, 0), (1.5e150, 0, 2e150), (0, 1, 0), radius=2.5)
+    assert inst.chord / inst.radius == MAX_CHORD_RADII
+    assert len(solve_all(inst)) == 8
