@@ -29,9 +29,9 @@ end) yield NaN and the owning element is dropped.
 
 Numpy call overhead, not arithmetic, sets the kernel's cost, so `newton`
 makes few, large calls: its line search tests a ladder of step sizes 2^-k
-for every pending element in one call, as many as fit in the Newton batch's
-first size, and a batch of many instances gathers its invariants once per
-evaluation.
+for every pending element in one call, as many as fit in LADDER_ELEMS
+elements (or the Newton batch's first size, if smaller), and a batch of
+many instances gathers its invariants once per evaluation.
 """
 
 from __future__ import annotations
@@ -46,8 +46,14 @@ from .residual import ALL_TYPES, EPS_SING
 # Step control: take the first of the steps 2^-k times the Newton step,
 # k < MAX_HALVINGS, that lowers the residual norm, else give up on the
 # element.  One kernel call tests several k for every pending element, as
-# many as fit in the Newton batch's first size (see _line_search).
+# many as fit in LADDER_ELEMS elements, or in the Newton batch's first size
+# if that is smaller (see _line_search).
 MAX_HALVINGS = 20
+# Element budget of one line-search call.  A kernel call's fixed numpy
+# overhead costs about as much as evaluating 2,048 elements (~75 ns each),
+# so a wider ladder spends more on rungs past the accepted one than the
+# call it saves.
+LADDER_ELEMS = 2048
 # Elements whose residual norm has not improved by 1% over this many
 # iterations are abandoned as non-converging (they hug singular ridges).
 PLATEAU_WINDOW = 3
@@ -141,7 +147,8 @@ def _tangents(batch: RayBatch, types, hi, hf):
     """frame()'s values, then the types' direction, start_sign and end_sign
     and their T_i and T_f."""
     A, B, c, d, q_i, q_f, r_i, r_f = frame(batch, hi, hf)
-    sig, s_i, s_f = _SIGNS[:, types]
+    # np.take: indexing with an int8 array takes numpy's slow fancy path
+    sig, s_i, s_f = np.take(_SIGNS, types, axis=1)
     t_i = np.where(sig * A <= 0.0, *half_angles(A, d, r_i))
     t_f = np.where(sig * B <= 0.0, *half_angles(B, d, r_f))
     return A, B, c, d, q_i, q_f, r_i, r_f, sig, s_i, s_f, t_i, t_f
@@ -193,7 +200,7 @@ def directionally_valid(types, ahead: np.ndarray) -> np.ndarray:
     Regular roots need the goal-side circle ahead, switched roots behind it,
     both within EPS_ZERO r; NaN (singular geometry) is never valid.
     """
-    return _SIGNS[0, types] * ahead >= -EPS_ZERO
+    return np.take(_SIGNS[0], types) * ahead >= -EPS_ZERO
 
 
 def eval_fd_jacobian(batch: RayBatch, types, hi: np.ndarray, hf: np.ndarray):
@@ -219,12 +226,16 @@ def _pad(pos: np.ndarray, cap: int) -> np.ndarray:
     through every size, grew the malloc heap by 1.2 MB over the first 600
     `plan` operations of the benchmark; padded, it does not grow.
     """
-    m = pos.size
-    if m == 0:
-        return pos
-    size = min(1 << (m - 1).bit_length() if m <= PAD_STEP else -(-m // PAD_STEP) * PAD_STEP, cap)
+    m, size = pos.size, _pad_size(pos.size, cap)
     # size < 2 m, so one partial repeat fills it
     return pos if size == m else np.concatenate((pos, pos[: size - m]))
+
+
+def _pad_size(m: int, cap: int) -> int:
+    """The size _pad pads m entries to."""
+    if m == 0:
+        return 0
+    return min(1 << (m - 1).bit_length() if m <= PAD_STEP else -(-m // PAD_STEP) * PAD_STEP, cap)
 
 
 def _line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, pend, cap):
@@ -235,22 +246,23 @@ def _line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, pend, cap):
     Returns the halvings k spent per position: MAX_HALVINGS where no step
     was accepted, and at every position not in pend (not searched).  Each
     kernel call tests a ladder of consecutive step sizes for every pending
-    element, as many as fit in cap elements (cap // pending, at least one,
-    at most the halvings left): cap is the Newton batch's first size, so a
-    call never holds more elements than the batch's first evaluation did,
-    and a few stragglers left in a shrunk batch still test many rungs per
-    call.  Each 2^-k is exact, so the result is that of halving one step at
-    a time.
+    element, as many as fit in min(cap, LADDER_ELEMS) elements (at least
+    one rung, at most the halvings left), padded to a `_pad` size: cap is
+    the Newton batch's first size, so a call never holds more than the
+    larger of that budget and the padded pending elements, and a few
+    stragglers in a shrunk batch still test many rungs per call.  Each 2^-k
+    is exact, so the result is that of halving one step at a time.
     """
     spent = np.full(hi.size, MAX_HALVINGS)
     k = 0
     while pend.size and k < MAX_HALVINGS:
         n = pend.size
-        rungs = max(1, min(cap // n, MAX_HALVINGS - k))
-        # rung-major: flat position j tests element pend[j % n] at 2^-(k + j // n)
-        flat = _pad(np.arange(n * rungs), cap)
-        at = pend[flat % n]
-        lam = np.ldexp(1.0, -(k + flat // n))
+        rungs = max(1, min(min(cap, LADDER_ELEMS) // n, MAX_HALVINGS - k))
+        # rung-major: flat position j tests element pend[j % n] at
+        # 2^-(k + j // n); resize wraps round to the first entries, as _pad does
+        m = _pad_size(n * rungs, cap)
+        at = np.resize(pend, m)
+        lam = np.resize(np.repeat(np.ldexp(1.0, -np.arange(k, k + rungs)), n), m)
         thi = hi[at] + lam * dhi[at]
         thf = hf[at] + lam * dhf[at]
         tpi, tpf = eval_residuals(batch.take(at), types[at], thi, thf)

@@ -8,6 +8,7 @@ angles are radians throughout.  The solvers work in units of the radius
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 # Vectors shorter than this are treated as zero.  The solvers and
@@ -87,6 +88,19 @@ class UnitVec3(Vec3):
 
     def __neg__(self) -> "UnitVec3":
         return UnitVec3(-self.x, -self.y, -self.z)
+
+
+def check_count(name: str, value, least: int) -> None:
+    """ValueError naming the setting unless value is an integer, Python or
+    numpy (not a bool or a float), of at least least."""
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
 def normalize(v: Vec3) -> UnitVec3:

@@ -33,7 +33,7 @@ from . import batch as _batch
 from . import solver as _solver
 from .batch import RayBatch
 from .batch import eval_residuals  # noqa: F401  unused here; bench/tracing.py wraps oracle.eval_residuals
-from .geom import ProblemInstance
+from .geom import ProblemInstance, check_count
 from .residual import ALL_TYPES, HPair, SolutionType
 from .solver import DEFAULT_DEDUP_TOL, GRID_MAX_ITERS
 from .solver import solve_type  # noqa: F401  unused here; bench/tracing.py wraps oracle.solve_type
@@ -61,8 +61,7 @@ class GridWindow:
             raise ValueError("window ranges must be finite")
         if self.h_i_range[0] >= self.h_i_range[1] or self.h_f_range[0] >= self.h_f_range[1]:
             raise ValueError("window ranges must have lo < hi")
-        if self.resolution < 16:
-            raise ValueError("resolution must be at least 16")
+        check_count("resolution", self.resolution, 16)
 
     @classmethod
     def square(cls, half_width: float, resolution: int = DEFAULT_RESOLUTION) -> "GridWindow":

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import batch as _batch
 from .batch import DEFAULT_RESIDUAL_TOL  # noqa: F401  the bound every solve_all root meets
-from .geom import EPS_ZERO, DubinsError, ProblemInstance
+from .geom import EPS_ZERO, DubinsError, ProblemInstance, check_count
 from .residual import ALL_TYPES, Geometry, HPair, ResidualPair, SolutionType, residuals
 
 # In units of the turn radius: roots closer than DEFAULT_DEDUP_TOL merge.
@@ -62,8 +62,7 @@ class SolverOptions:
     seed: HPair | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        check_count("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True)

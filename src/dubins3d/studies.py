@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import RayBatch, directionally_valid, eval_ahead, newton
-from .geom import offset_span
+from .geom import check_count, offset_span
 from .residual import ALL_TYPES, REGULAR_TYPES, SolutionType
 from .scenarios import Scenario
 from .solver import GRID_MAX_ITERS, collinear, multistart, runaway_limit, seed_grid
@@ -61,8 +61,7 @@ class SweepSpec:
             raise ValueError("fixed variable must be x, z, or angle")
         if not math.isfinite(self.fixed[1]):
             raise ValueError("fixed value must be finite")
-        if self.steps < 2:
-            raise ValueError("steps must be at least 2")
+        check_count("steps", self.steps, 2)
 
     @property
     def swept(self) -> tuple[str, str]:
@@ -197,8 +196,7 @@ def run_seed_study(
     """
     if not math.isfinite(half_width):
         raise ValueError("half_width must be finite")
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
+    check_count("resolution", resolution, 1)
     inst = scenario.instance
     r = inst.radius
     vals = np.linspace(-half_width, half_width, resolution)
@@ -243,8 +241,7 @@ def run_gradient_study(n_cases: int, rng_seed: int) -> list[GradientStudyRow]:
     and one random seed scaled to the case; both solver modes run from that
     same seed.  Deterministic for a fixed rng_seed.
     """
-    if n_cases < 1:
-        raise ValueError("n_cases must be at least 1")
+    check_count("n_cases", n_cases, 1)
     rng = np.random.default_rng(rng_seed)
     xf = rng.uniform(-POSITION_RANGE, POSITION_RANGE, size=(n_cases, 3))
     vf = rng.normal(size=(n_cases, 3))

@@ -9,6 +9,7 @@ import pytest
 
 from dubins3d import batch as batch_mod
 from dubins3d.batch import (
+    LADDER_ELEMS,
     MAX_HALVINGS,
     PAD_STEP,
     NewtonResult,
@@ -20,6 +21,7 @@ from dubins3d.batch import (
     eval_residuals,
     frame,
     _pad,
+    _pad_size,
     newton,
 )
 from dubins3d.geom import EPS_ZERO, instance
@@ -387,6 +389,10 @@ def test_pad_ladder():
         assert got.size == size and (got[:m] == pos).all() and set(got[m:].tolist()) <= set(pos.tolist())
 
 
+def on_ladder(size, cap):
+    return size == cap or (size <= PAD_STEP and size & (size - 1) == 0) or size % PAD_STEP == 0
+
+
 def test_newton_evaluates_ladder_sizes_only(monkeypatch):
     sizes = set()
     real = batch_mod.eval_residuals
@@ -401,7 +407,43 @@ def test_newton_evaluates_ladder_sizes_only(monkeypatch):
         solve_all(random_instance(rng))
     # 8 types x 82 seeds, then ladder sizes only
     assert 656 in sizes and len(sizes) > 5
-    assert all(s == 656 or (s <= PAD_STEP and s & (s - 1) == 0) or s % PAD_STEP == 0 for s in sizes), sorted(sizes)
+    assert all(on_ladder(s, 656) for s in sizes), sorted(sizes)
+
+
+def test_line_search_holds_to_its_element_budget(monkeypatch):
+    # a robust 3x3 slice is one Newton batch of 8 types x 82 seeds x 9 cells,
+    # so the budget, not the batch's first size, bounds its ladders
+    searches = []  # per line search: pending elements, cap, call sizes
+    calls = None  # the sizes of the running line search's calls
+    real_search, real_eval = batch_mod._line_search, batch_mod.eval_residuals
+
+    def search(*args):
+        nonlocal calls
+        calls = []
+        searches.append((args[-2].size, args[-1], calls))
+        try:
+            return real_search(*args)
+        finally:
+            calls = None
+
+    def counting(batch, stype, hi, hf):
+        if calls is not None:
+            calls.append(np.size(hi))
+        return real_eval(batch, stype, hi, hf)
+
+    monkeypatch.setattr(batch_mod, "_line_search", search)
+    monkeypatch.setattr(batch_mod, "eval_residuals", counting)
+    run_sweep(SweepSpec("planar", ("z", 1.0), steps=3, robust_seeds=True))
+    assert searches and {cap for _, cap, _ in searches} == {8 * 82 * 9}
+    bound = 0
+    for n, cap, sizes in searches:
+        assert sizes and all(on_ladder(s, cap) and s <= max(LADDER_ELEMS, _pad_size(n, cap)) for s in sizes), (n, sizes)
+        # the first call tests min(cap, LADDER_ELEMS) // n rungs, at least
+        # one and at most MAX_HALVINGS
+        rungs = max(1, min(LADDER_ELEMS // n, MAX_HALVINGS))
+        assert sizes[0] == _pad_size(n * rungs, cap), (n, sizes)
+        bound += min(cap // n, MAX_HALVINGS) > rungs
+    assert bound > 0
 
 
 def sequential_line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, pend, cap):
@@ -442,7 +484,14 @@ def test_step_ladder_equals_sequential_halving_bitwise(kw, monkeypatch):
     rng = np.random.default_rng(26)
     rb, stypes, hi, hf = mixed_batch(rng, per=30)
     many, mhi, mhf = many_instance_batch(rng)
-    cases = [(rb, codes(stypes), hi, hf), (many, codes(ALL_TYPES[2:3] * mhi.size), mhi, mhf)]
+    # above the ladder's element budget: budget-bound calls first, then
+    # ladders of many rungs for the stragglers
+    large, lhi, lhf = many_instance_batch(rng, n=3000)
+    cases = [
+        (rb, codes(stypes), hi, hf),
+        (many, codes(ALL_TYPES[2:3] * mhi.size), mhi, mhf),
+        (large, rng.integers(0, 8, lhi.size).astype(np.int8), lhi, lhf),
+    ]
     calls = {"n": 0}
     real = batch_mod.eval_residuals
 

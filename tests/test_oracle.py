@@ -49,6 +49,17 @@ def test_window_validation():
     assert win.h_i_range[1] == pytest.approx(PLANAR_FAR.chord + 4.0)
 
 
+@pytest.mark.parametrize("bad", [16.5, 32.0, True, np.float64(32.0)])
+def test_window_rejects_non_integer_resolution(bad):
+    with pytest.raises(ValueError, match="resolution"):
+        GridWindow((-1.0, 1.0), (-1.0, 1.0), resolution=bad)
+
+
+def test_window_accepts_numpy_integer_resolution():
+    win = GridWindow.square(2.0, np.int16(16))
+    assert all((a == b).all() for a, b in zip(win.nodes(), GridWindow.square(2.0, 16).nodes()))
+
+
 def test_contours_have_both_curve_families():
     win = GridWindow.square(10.0, 200)
     for stype in REGULAR_TYPES:

@@ -175,6 +175,27 @@ def test_options_validation():
         SolverOptions(max_iters=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(4.0), "5"])
+def test_options_reject_non_integer_max_iters(bad):
+    # a float would pass a bound check, then fail in newton's range()
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverOptions(max_iters=bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_])
+def test_options_reject_bool_max_iters(bad):
+    # True is an int, and would run one iteration
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverOptions(max_iters=bad)
+
+
+def test_options_accept_numpy_integer_max_iters():
+    inst = instance((0, 0, 0), (1, 0, 0), (4, 3, 1), (0, 1, 0))
+    want = solve_all(inst, SolverOptions(max_iters=7))
+    got = solve_all(inst, SolverOptions(max_iters=np.int32(7)))
+    assert [(c.stype, c.hp, c.iterations) for c in got] == [(c.stype, c.hp, c.iterations) for c in want]
+
+
 def solve_all_per_type(inst, opts):
     """solve_all with one Newton batch per type, the runs concatenated
     type-major before the merge: the layout the fused batch replaced."""

@@ -46,6 +46,27 @@ def test_sweep_spec_validation():
     assert spec.swept == ("x", "z")
 
 
+@pytest.mark.parametrize("bad", [3.5, 3.0, True, np.float64(3.0)])
+def test_sweep_spec_rejects_non_integer_steps(bad):
+    with pytest.raises(ValueError, match="steps"):
+        SweepSpec("planar", ("x", 0.0), steps=bad)
+
+
+def test_sweep_spec_accepts_numpy_integer_steps():
+    got = run_sweep(SweepSpec("nonplanar", ("angle", 1.0), steps=np.int64(3)))
+    want = run_sweep(SweepSpec("nonplanar", ("angle", 1.0), steps=3))
+    assert list(got.rows()) == list(want.rows())
+
+
+def test_study_counts_reject_non_integers():
+    scenario = load_bundled("planar_far")
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="resolution"):
+            run_seed_study(scenario, half_width=4.0, resolution=bad)
+        with pytest.raises(ValueError, match="n_cases"):
+            run_gradient_study(bad, 0)
+
+
 def test_planar_aligned_slice_symmetric():
     spec = SweepSpec("planar", ("angle", 0.0), steps=21)
     result = run_sweep(spec)
