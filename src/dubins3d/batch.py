@@ -6,10 +6,11 @@ instances scaled to unit radius: every length here is in units of r.  A
 batch is a RayBatch of problem data, the type codes of its elements
 (type_id - 1, an int8 array indexed as the offsets are; an evaluation also
 takes one code for all) and the offset arrays, which set its element
-count.  `newton` is the one iteration over it: an element leaves its batch
-in one place, at the seeds or at the end of an iteration, converged within
-DEFAULT_RESIDUAL_TOL or dropped.  `solver.multistart` lays out the batches
-of (type, instance, seed) elements that the solver and the studies run.
+count.  `newton` is the one iteration over it, with one exit policy: an
+element leaves its batch at the seeds or at the end of an iteration, dropped
+by any of its rules even within tolerance, else converged if within
+DEFAULT_RESIDUAL_TOL.  `solver.multistart` lays out the batches of (type,
+instance, seed) elements that the solver and the studies run.
 
 The tangency system depends on a start/goal pair only through rigid-motion
 invariants: with D = x_f - x_i, a = D.v_i, b = D.v_f, c = v_i.v_f and the
@@ -226,9 +227,7 @@ def _pad(pos: np.ndarray, cap: int) -> np.ndarray:
     through every size, grew the malloc heap by 1.2 MB over the first 600
     `plan` operations of the benchmark; padded, it does not grow.
     """
-    m, size = pos.size, _pad_size(pos.size, cap)
-    # size < 2 m, so one partial repeat fills it
-    return pos if size == m else np.concatenate((pos, pos[: size - m]))
+    return np.resize(pos, _pad_size(pos.size, cap))
 
 
 def _pad_size(m: int, cap: int) -> int:
@@ -267,7 +266,8 @@ def _line_search(batch, types, hi, hf, p_i, p_f, fn, dhi, dhf, pend, cap):
         thf = hf[at] + lam * dhf[at]
         tpi, tpf = eval_residuals(batch.take(at), types[at], thi, thf)
         tfn = np.hypot(tpi, tpf)
-        good = (np.isfinite(tfn) & (tfn < fn[at]))[: n * rungs].reshape(rungs, n)
+        # fn is finite at every searched position, so a NaN or inf tfn fails
+        good = (tfn < fn[at])[: n * rungs].reshape(rungs, n)
         hit = good.any(axis=0)
         col = np.flatnonzero(hit)
         first = good.argmax(axis=0)[col]
@@ -321,13 +321,13 @@ def newton(
     offsets are.  Elements never interact, so each one's iterates, residuals
     and iteration count do not depend on what else is in the batch.  An
     element leaves the batch in one place (`leave`), at its seed and at the
-    end of each iteration k: converged after k iterations when
-    max(|p_i|, |p_f|) <= DEFAULT_RESIDUAL_TOL, or dropped when its seed is
-    singular, its Jacobian degenerates, no backtracked step is accepted,
-    progress plateaus, or the iterate runs past h_limit, even within
-    tolerance.  What is left is padded with copies of live elements to a
-    ladder size (`_pad`); a copy writes the same results to the same output
-    slot as its original.
+    end of each iteration k: dropped when its seed is singular, its Jacobian
+    degenerates, no backtracked step is accepted, progress plateaus, or the
+    iterate runs past h_limit, each even within tolerance; else converged
+    after k iterations when max(|p_i|, |p_f|) <= DEFAULT_RESIDUAL_TOL.  What
+    is left is padded with copies of live elements to a ladder size
+    (`_pad`); a copy writes the same results to the same output slot as its
+    original.
     """
     n_total = len(hi0)
     out = NewtonResult(
@@ -396,9 +396,7 @@ def newton(
         out.halvings[idx[pend]] += spent[pend]
         keep = spent < MAX_HALVINGS
         if len(hist) >= PLATEAU_WINDOW:
-            # never plateau-kill an element that just crossed the tolerance
-            near = np.fmax(np.abs(cpi), np.abs(cpf)) <= DEFAULT_RESIDUAL_TOL
-            keep = keep & ((cfn <= PLATEAU_FACTOR * hist[-PLATEAU_WINDOW]) | near)
+            keep = keep & (cfn <= PLATEAU_FACTOR * hist[-PLATEAU_WINDOW])
         keep = keep & (np.abs(chi) <= h_limit) & (np.abs(chf) <= h_limit)
         hist = (hist + [cfn])[-PLATEAU_WINDOW:]
         leave(keep, k)

@@ -8,6 +8,7 @@ angles are radians throughout.  The solvers work in units of the radius
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -103,6 +104,13 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
+def check_finite(name: str, value) -> None:
+    """ValueError naming the setting unless value is a finite real number,
+    Python or numpy (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def normalize(v: Vec3) -> UnitVec3:
     """Return v / ||v||.
 
@@ -148,8 +156,9 @@ class ProblemInstance:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
+        check_finite("radius", self.radius)
+        if not self.radius > 0.0:
+            raise ValueError(f"radius must be positive, got {self.radius!r}")
         if not self.chord / self.radius <= MAX_CHORD_RADII:
             raise ValueError(f"chord {self.chord!r} must be finite and at most {MAX_CHORD_RADII:g} times the radius {self.radius!r}")
 
@@ -179,6 +188,10 @@ def instance(
     radius: float = 1.0,
 ) -> ProblemInstance:
     """Convenience constructor from raw tuples; directions are normalized."""
+    names = ("start_position", "start_direction", "goal_position", "goal_direction")
+    for name, ray in zip(names, (start_position, start_direction, goal_position, goal_direction)):
+        for k, v in enumerate(ray):
+            check_finite(f"{name}[{k}]", v)
     return ProblemInstance(
         Configuration(Vec3(*start_position), normalize(Vec3(*start_direction))),
         Configuration(Vec3(*goal_position), normalize(Vec3(*goal_direction))),

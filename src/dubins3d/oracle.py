@@ -33,7 +33,7 @@ from . import batch as _batch
 from . import solver as _solver
 from .batch import RayBatch
 from .batch import eval_residuals  # noqa: F401  unused here; bench/tracing.py wraps oracle.eval_residuals
-from .geom import ProblemInstance, check_count
+from .geom import ProblemInstance, check_count, check_finite
 from .residual import ALL_TYPES, HPair, SolutionType
 from .solver import DEFAULT_DEDUP_TOL, GRID_MAX_ITERS
 from .solver import solve_type  # noqa: F401  unused here; bench/tracing.py wraps oracle.solve_type
@@ -57,8 +57,9 @@ class GridWindow:
     resolution: int = DEFAULT_RESOLUTION
 
     def __post_init__(self) -> None:
-        if not np.isfinite((*self.h_i_range, *self.h_f_range)).all():
-            raise ValueError("window ranges must be finite")
+        for name in ("h_i_range", "h_f_range"):
+            for k, v in enumerate(getattr(self, name)):
+                check_finite(f"{name}[{k}]", v)
         if self.h_i_range[0] >= self.h_i_range[1] or self.h_f_range[0] >= self.h_f_range[1]:
             raise ValueError("window ranges must have lo < hi")
         check_count("resolution", self.resolution, 16)

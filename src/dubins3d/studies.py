@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import RayBatch, directionally_valid, eval_ahead, newton
-from .geom import check_count, offset_span
+from .geom import check_count, check_finite, offset_span
 from .residual import ALL_TYPES, REGULAR_TYPES, SolutionType
 from .scenarios import Scenario
 from .solver import GRID_MAX_ITERS, collinear, multistart, runaway_limit, seed_grid
@@ -59,8 +59,7 @@ class SweepSpec:
             raise ValueError(f"mode must be one of {SWEEP_MODES}")
         if self.fixed[0] not in ("x", "z", "angle"):
             raise ValueError("fixed variable must be x, z, or angle")
-        if not math.isfinite(self.fixed[1]):
-            raise ValueError("fixed value must be finite")
+        check_finite("fixed[1]", self.fixed[1])
         check_count("steps", self.steps, 2)
 
     @property
@@ -194,8 +193,7 @@ def run_seed_study(
 
     half_width, seeds and roots are in the scenario's units.
     """
-    if not math.isfinite(half_width):
-        raise ValueError("half_width must be finite")
+    check_finite("half_width", half_width)
     check_count("resolution", resolution, 1)
     inst = scenario.instance
     r = inst.radius

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from dubins3d.geom import (
     UnitVec3,
     Vec3,
     ZeroVector,
+    check_finite,
     instance,
     normalize,
     point_line_distance,
@@ -94,6 +96,36 @@ def test_instance_validation():
         ProblemInstance(cfg, cfg, radius=-1.0)
     inst = ProblemInstance(cfg, Configuration(Vec3(3, 4, 0), UnitVec3(0, 0, 1)), radius=2.0)
     assert inst.chord == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1.0", None, 1j, math.nan, math.inf, -np.inf])
+def test_check_finite_rejects_bools_non_numbers_and_non_finite_values(bad):
+    with pytest.raises(ValueError, match="speed"):
+        check_finite("speed", bad)
+
+
+@pytest.mark.parametrize("good", [0, -3, 2.5, np.float64(1e300), np.float32(-2.0), np.int16(7)])
+def test_check_finite_accepts_finite_python_and_numpy_numbers(good):
+    check_finite("speed", good)
+
+
+def test_problem_instance_rejects_a_bool_radius():
+    cfg = Configuration(Vec3(0, 0, 0), UnitVec3(0, 0, 1))
+    for bad in (True, math.nan, "1"):
+        with pytest.raises(ValueError, match="radius"):
+            ProblemInstance(cfg, cfg, radius=bad)
+        with pytest.raises(ValueError, match="radius"):
+            instance((0, 0, 0), (0, 0, 1), (3, 1, 2), (1, 0, 0), radius=bad)
+
+
+@pytest.mark.parametrize("ray", range(4))
+@pytest.mark.parametrize("bad", [True, math.inf, "2"])
+def test_instance_rejects_a_bool_or_non_finite_component(ray, bad):
+    rays = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [3.0, 1.0, 2.0], [1.0, 0.0, 0.0]]
+    rays[ray][1] = bad
+    name = ("start_position", "start_direction", "goal_position", "goal_direction")[ray]
+    with pytest.raises(ValueError, match=rf"{name}\[1\]"):
+        instance(*rays)
 
 
 # start/goal pairs whose chord in units of r the kernel cannot represent: not

@@ -49,6 +49,14 @@ def test_window_validation():
     assert win.h_i_range[1] == pytest.approx(PLANAR_FAR.chord + 4.0)
 
 
+@pytest.mark.parametrize("bad", [False, True, np.bool_(False), "-1"])
+def test_window_rejects_a_bool_or_non_number_range_end(bad):
+    with pytest.raises(ValueError, match=r"h_i_range\[0\]"):
+        GridWindow((bad, 1.0), (-1.0, 1.0))
+    with pytest.raises(ValueError, match=r"h_f_range\[0\]"):
+        GridWindow((-1.0, 1.0), (bad, 1.0))
+
+
 @pytest.mark.parametrize("bad", [16.5, 32.0, True, np.float64(32.0)])
 def test_window_rejects_non_integer_resolution(bad):
     with pytest.raises(ValueError, match="resolution"):

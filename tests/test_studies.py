@@ -58,6 +58,18 @@ def test_sweep_spec_accepts_numpy_integer_steps():
     assert list(got.rows()) == list(want.rows())
 
 
+@pytest.mark.parametrize("bad", [True, math.nan, "1.0"])
+def test_sweep_spec_rejects_a_bool_or_non_finite_fixed_value(bad):
+    with pytest.raises(ValueError, match=r"fixed\[1\]"):
+        SweepSpec("planar", ("x", bad))
+
+
+@pytest.mark.parametrize("bad", [True, math.inf, "4.0"])
+def test_seed_study_rejects_a_bool_or_non_finite_half_width(bad):
+    with pytest.raises(ValueError, match="half_width"):
+        run_seed_study(load_bundled("planar_far"), half_width=bad, resolution=3)
+
+
 def test_study_counts_reject_non_integers():
     scenario = load_bundled("planar_far")
     for bad in (2.5, True):
