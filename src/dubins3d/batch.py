@@ -220,8 +220,9 @@ def _pad(pos: np.ndarray, cap: int) -> np.ndarray:
     a fixed ladder (powers of two up to PAD_STEP, then multiples of it) but
     at most cap.
 
-    A repeated element is an exact copy and evolves exactly like its
-    original, so padding changes no result.  It keeps a shrinking batch to
+    A repeated entry only fills a call to a ladder size: `newton` never
+    searches, records or keeps a copy (a position at or past its live
+    count), so padding changes no result.  It keeps a shrinking batch to
     a few array sizes: numpy caches up to seven freed buffers of every byte
     size under 1 KB, and unpadded 656-element solve_all batches, shrinking
     through every size, grew the malloc heap by 1.2 MB over the first 600
@@ -326,8 +327,8 @@ def newton(
     iterate runs past h_limit, each even within tolerance; else converged
     after k iterations when max(|p_i|, |p_f|) <= DEFAULT_RESIDUAL_TOL.  What
     is left is padded with copies of live elements to a ladder size
-    (`_pad`); a copy writes the same results to the same output slot as its
-    original.
+    (`_pad`); a copy only fills the Jacobian call and the gathers to that
+    size, and is never searched, recorded or kept.
     """
     n_total = len(hi0)
     out = NewtonResult(

@@ -106,8 +106,12 @@ def check_count(name: str, value, least: int) -> None:
 
 def check_finite(name: str, value) -> None:
     """ValueError naming the setting unless value is a finite real number,
-    Python or numpy (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    Python or numpy (not a bool, nor an int too large for a float)."""
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 

@@ -5,10 +5,8 @@ requested types are sampled on a dense grid from the batch kernel's
 invariants, cells where both of a type's fields change sign are detected
 in marching-squares fashion, and one Newton batch refines from the centre
 of every such cell of every type (`enumerate_all_types`, for all eight
-types or any subset); `sample_contours` exports the fields for plotting.
-Both read one sampler that walks nodes in blocks of h_i node rows
-(`_sample_blocks`): a 401^2 float64 field is 1.29 MB, so a whole-grid
-pass is bound by memory bandwidth.
+types or any subset).  `sample_contours` exports each type's fields for
+plotting, one `batch.eval_residuals` call per type on the whole window.
 
 `enumerate_all_types` samples only where a root can lie.  p_i = h_i +
 s_i T_i with T_i >= 0, and fl(h + T) >= h, so p_i >= ZERO_SNAP wherever
@@ -16,10 +14,12 @@ s_i = +1 and h_i >= ZERO_SNAP (and <= -ZERO_SNAP wherever s_i = -1 and
 h_i <= -ZERO_SNAP): no such cell crosses, and p_f likewise.  So the types
 of each sign pair (s_i, s_f) sample their dense p_i fields only on that
 quadrant's node rows and columns (`_reach`), and p_f only at the corners
-of their p_i crossing cells.  Every node value is the whole grid's, so the
-cells, and the roots, are exactly those of `sample_contours`' maps.  As in
-`solver`, both run in units of the radius; windows, fields and roots are
-in the instance's own units.
+of their p_i crossing cells.  Its sampler walks those nodes in blocks of
+h_i node rows (`_sample_blocks`): a 401^2 float64 field is 1.29 MB, so a
+whole-grid pass is bound by memory bandwidth.  Every node value is the
+whole grid's, so the cells, and the roots, are exactly those of
+`sample_contours`' maps.  As in `solver`, both run in units of the
+radius; windows, fields and roots are in the instance's own units.
 """
 
 from __future__ import annotations
@@ -97,8 +97,7 @@ class ContourMap:
     Fields are indexed [i, j] for node (h_i_nodes[i], h_f_nodes[j]); entries
     are NaN where the evaluation is singular.  crossings_* mark cells (one
     smaller per axis) where the respective field changes sign; cells touching
-    a singular node are never marked.  The fields are read-only: maps of one
-    family from one `sample_contours` call share them.
+    a singular node are never marked.  The fields are read-only.
     """
 
     stype: SolutionType
@@ -142,42 +141,35 @@ def _reach(h: np.ndarray, sign: int) -> tuple[int, int]:
     return (int(cells[0]), int(cells[-1]) + 1) if cells.size else (0, 0)
 
 
-def _fields(frame, end: str, h, keys) -> dict:
-    """The fields of the keys (end, switched, sign) of one end, in units of
-    r: p_i = h_i + s_i T_i where end is "i", p_f = h_f + s_f T_f where "f",
-    from `batch.frame`'s values and that end's offsets h.
+def _start_fields(frame, h, s_i: int, switched) -> dict:
+    """p_i = h_i + s_i T_i in units of r for each direction flag in switched,
+    in that order, from `batch.frame`'s values and the h_i nodes h.
 
     A type reads the frame only through its direction, which picks one of
-    the end's two half-angle tangents where sigma A (or B) <= 0, and its
-    sign, so every value has the bits `batch.eval_residuals` gives.
+    the two half-angle tangents where sigma A <= 0, and its start sign, so
+    every value has the bits `batch.eval_residuals` gives.
     """
-    keys = [(sw, s) for e, sw, s in keys if e == end]
-    if not keys:
-        return {}
-    A, B, _, d, _, _, r_i, r_f = frame
-    lin, root = (A, r_i) if end == "i" else (B, r_f)
-    tangents = _batch.half_angles(lin, d, root)
+    A, _, _, d, _, _, r_i, _ = frame
+    tangents = _batch.half_angles(A, d, r_i)
     fields = {}
-    for switched in (False, True):
-        signs = [s for sw, s in keys if sw == switched]
-        if signs:
-            tan = np.where(lin >= 0.0 if switched else lin <= 0.0, *tangents)
-            for sign in signs:
-                # h - tan has the bits of h + (-1) tan
-                fields[end, switched, sign] = h + tan if sign > 0 else h - tan
+    for flag in switched:
+        tan = np.where(A >= 0.0 if flag else A <= 0.0, *tangents)
+        # h - tan has the bits of h + (-1) tan
+        fields[flag] = h + tan if s_i > 0 else h - tan
     return fields
 
 
-def _sample_blocks(rb: RayBatch, hi: np.ndarray, hf: np.ndarray, keys: list):
-    """The fields keys (end, switched, sign) on the nodes hi x hf, in units
-    of r, one block of h_i node rows at a time.
+def _sample_blocks(rb: RayBatch, hi: np.ndarray, hf: np.ndarray, s_i: int, switched):
+    """The p_i fields of start sign s_i and each direction flag in switched
+    on the nodes hi x hf, in units of r, one block of h_i node rows at a
+    time.
 
-    hi is a column of h_i nodes and hf a row of h_f nodes: a window's, or a
-    node sub-range of it.  Yields (first node row, fields), fields mapping
-    each key to the block's field and its cell crossings.  A block holds
+    hi is a column of h_i nodes and hf a row of h_f nodes, a node sub-range
+    of a window.  Yields (first node row, fields), fields mapping each flag
+    to the block's field and its cell crossings.  A block holds
     max(1, BLOCK_NODES // hf.size) node rows plus the first row of the
-    next, so every cell lies in exactly one block.  A, B and d are formed
-    per node, Q_i per h_f node and Q_f per h_i node (`batch.frame`).
+    next, so every cell lies in exactly one block.  A and d are formed per
+    node and Q_i per h_f node (`batch.frame`).
 
     A block's arrays stay bound until the next block is formed, so the
     malloc heap reuses their pages: freeing them at the yield let it trim
@@ -189,9 +181,8 @@ def _sample_blocks(rb: RayBatch, hi: np.ndarray, hf: np.ndarray, keys: list):
         h_blk = hi[row : row + step + 1]
         frame = _batch.frame(rb, h_blk, hf)
         fields = {}
-        for end, h in (("i", h_blk), ("f", hf)):
-            for key, p in _fields(frame, end, h, keys).items():
-                fields[key] = p, _cell_crossings(p)
+        for flag, p in _start_fields(frame, h_blk, s_i, switched).items():
+            fields[flag] = p, _cell_crossings(p)
         yield row, fields
 
 
@@ -201,30 +192,20 @@ def sample_contours(
     """The contour map of every requested type: regular types first, then
     switched, each family in the requested order.
 
-    The distinct fields of all requested types are assembled from one
-    block-by-block pass over the whole window (`_sample_blocks`) and scaled
-    by r once whole; maps of one family share these read-only arrays.
+    Each map's fields come from one `batch.eval_residuals` call on the
+    whole window; their crossings are taken in units of r, then the fields
+    are scaled by r and made read-only.
     """
-    order = sorted(stypes, key=lambda t: t.switched)  # stable: regular first
     r = inst.radius
     hi_nodes, hf_nodes = window.nodes()
-    n = hi_nodes.size
-    # a dict, not a set: the same order, so the same allocations, on every run
-    keys = dict.fromkeys(k for t in order for k in (("i", t.switched, t.start_sign), ("f", t.switched, t.end_sign)))
-    full = {}
+    hi, hf = (hi_nodes / r)[:, None], (hf_nodes / r)[None, :]
     rb = RayBatch.from_instance(inst)
-    for row, fields in _sample_blocks(rb, (hi_nodes / r)[:, None], (hf_nodes / r)[None, :], list(keys)):
-        for key, (p, crossings) in fields.items():
-            if key not in full:
-                full[key] = np.empty((n, n)), np.empty((n - 1, n - 1), bool)
-            full[key][0][row : row + p.shape[0]] = p
-            full[key][1][row : row + crossings.shape[0]] = crossings
-    for p, _ in full.values():
-        p *= r
-        p.flags.writeable = False
-    for t in order:
-        p_i, crossings_i = full["i", t.switched, t.start_sign]
-        p_f, crossings_f = full["f", t.switched, t.end_sign]
+    for t in sorted(stypes, key=lambda t: t.switched):  # stable: regular first
+        p_i, p_f = _batch.eval_residuals(rb, t.type_id - 1, hi, hf)
+        crossings_i, crossings_f = _cell_crossings(p_i), _cell_crossings(p_f)
+        for p in (p_i, p_f):
+            p *= r
+            p.flags.writeable = False
         singular = ~(np.isfinite(p_i) & np.isfinite(p_f))
         yield ContourMap(t, window, hi_nodes, hf_nodes, p_i, p_f, singular, crossings_i, crossings_f)
 
@@ -254,12 +235,13 @@ def _intersection_cells(inst: ProblemInstance, window: GridWindow, found: list[S
         if r0 == r1 or c0 == c1:
             continue
         quad = {k: [] for k, t in enumerate(found) if (t.start_sign, t.end_sign) == (s_i, s_f)}
-        keys = list(dict.fromkeys(("i", found[k].switched, s_i) for k in quad))
+        # regular first, as found is ordered
+        switched = list(dict.fromkeys(found[k].switched for k in quad))
         width = c1 - c0
-        for row, fields in _sample_blocks(rb, hi[r0 : r1 + 1, None], hf[None, c0 : c1 + 1], keys):
+        for row, fields in _sample_blocks(rb, hi[r0 : r1 + 1, None], hf[None, c0 : c1 + 1], s_i, switched):
             for k, flat in quad.items():
                 # flat indices: np.nonzero of a 2D block takes ten times as long
-                flat.append(np.flatnonzero(fields["i", found[k].switched, s_i][1]) + row * width)
+                flat.append(np.flatnonzero(fields[found[k].switched][1]) + row * width)
         for k, flat in quad.items():
             i, j = np.divmod(np.concatenate(flat), width)
             ij[k] = i + r0, j + c0

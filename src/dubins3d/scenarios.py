@@ -12,14 +12,13 @@ recorded expected outcomes, runnable as one regression batch from the CLI.
 from __future__ import annotations
 
 import json
-import sys
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import IO, Any, Callable
 
-from .geom import Configuration, ProblemInstance, Vec3, normalize
+from .geom import Configuration, ProblemInstance, Vec3, check_finite, normalize
 from .residual import HPair
 from .solver import SolverOptions
 
@@ -35,12 +34,10 @@ class Scenario:
     options: SolverOptions = field(default_factory=SolverOptions)
 
 
-# float_info.max also bounds integers too large for a float
-_NUMBER = ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
-_POSITIVE = ("a positive number", lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max)
 _ANY = ("anything", lambda v: True)
-# The keys a scenario (whose values are checked as they are parsed), its
-# "options" and each kind of "seed_policy" may hold; any other is an error.
+# The keys a scenario, its "options" and each kind of "seed_policy" may hold,
+# with the rules their values meet (or "anything" for a value checked as it
+# is parsed); any other key is an error.
 _KNOWN_KEYS = {
     "scenario": {"start": _ANY, "goal": _ANY, "radius": _ANY, "options": _ANY},
     "options": {
@@ -48,7 +45,7 @@ _KNOWN_KEYS = {
         "use_gradient": ("true or false", lambda v: type(v) is bool),
         "seed_policy": ("an object", lambda v: type(v) is dict),
     },
-    "single": {"kind": _ANY, "h_i": _NUMBER, "h_f": _NUMBER},
+    "single": {"kind": _ANY, "h_i": _ANY, "h_f": _ANY},
     "grid": {"kind": _ANY},
 }
 
@@ -70,10 +67,15 @@ def _check_fields(obj: Any, what: str, known: dict) -> None:
         _checked(value, f"{what}.{key}", known[key])
 
 
+def _number(value: Any, what: str) -> float:
+    check_finite(what, value)
+    return float(value)
+
+
 def _parse_vec(obj: Any, what: str) -> Vec3:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 3):
         raise ValueError(f"{what} must be a 3-element array")
-    return Vec3(*(float(_checked(c, f"{what}[{k}]", _NUMBER)) for k, c in enumerate(obj)))
+    return Vec3(*(_number(c, f"{what}[{k}]") for k, c in enumerate(obj)))
 
 
 def _parse_configuration(obj: Any, what: str) -> Configuration:
@@ -100,7 +102,9 @@ def _parse_options(obj: Any) -> SolverOptions:
     if kind not in ("single", "grid"):
         raise ValueError(f"options.seed_policy.kind must be single or grid, got {kind!r}")
     _check_fields(policy, "options.seed_policy", _KNOWN_KEYS[kind])
-    seed = HPair(float(policy.get("h_i", 0.0)), float(policy.get("h_f", 0.0))) if kind == "single" else None
+    seed = None
+    if kind == "single":
+        seed = HPair(*(_number(policy.get(k, 0.0), f"options.seed_policy.{k}") for k in ("h_i", "h_f")))
     return SolverOptions(**kwargs, seed=seed)
 
 
@@ -110,7 +114,7 @@ def parse_scenario(data: Any, name: str = "scenario") -> Scenario:
     _check_fields(data, "scenario", _KNOWN_KEYS["scenario"])
     start = _parse_configuration(data.get("start"), "start")
     goal = _parse_configuration(data.get("goal"), "goal")
-    radius = float(_checked(data.get("radius", 1.0), "radius", _POSITIVE))
+    radius = _number(data.get("radius", 1.0), "radius")  # ProblemInstance checks its sign
     return Scenario(name, ProblemInstance(start, goal, radius), _parse_options(data.get("options")))
 
 

@@ -274,6 +274,7 @@ MALFORMED = [
     ({"options": [1]}, "options"),
     ({"radius": None}, "radius"),
     ({"radius": "1"}, "radius"),
+    ({"radius": 10**400}, "radius"),
     ({"goal": {"position": [None, 0, 3], "direction": [0, 0, 1]}}, "goal.position[0]"),
     ({"optoins": {"max_iters": 7}}, "scenario.optoins"),
 ]

@@ -98,7 +98,11 @@ def test_instance_validation():
     assert inst.chord == pytest.approx(5.0)
 
 
-@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1.0", None, 1j, math.nan, math.inf, -np.inf])
+# 10**400: an int too large for a float, on which math.isfinite overflows
+HUGE = pytest.param(10**400, id="10**400")
+
+
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1.0", None, 1j, math.nan, math.inf, -np.inf, HUGE])
 def test_check_finite_rejects_bools_non_numbers_and_non_finite_values(bad):
     with pytest.raises(ValueError, match="speed"):
         check_finite("speed", bad)
@@ -111,7 +115,7 @@ def test_check_finite_accepts_finite_python_and_numpy_numbers(good):
 
 def test_problem_instance_rejects_a_bool_radius():
     cfg = Configuration(Vec3(0, 0, 0), UnitVec3(0, 0, 1))
-    for bad in (True, math.nan, "1"):
+    for bad in (True, math.nan, "1", 10**400):
         with pytest.raises(ValueError, match="radius"):
             ProblemInstance(cfg, cfg, radius=bad)
         with pytest.raises(ValueError, match="radius"):
@@ -119,7 +123,7 @@ def test_problem_instance_rejects_a_bool_radius():
 
 
 @pytest.mark.parametrize("ray", range(4))
-@pytest.mark.parametrize("bad", [True, math.inf, "2"])
+@pytest.mark.parametrize("bad", [True, math.inf, "2", HUGE])
 def test_instance_rejects_a_bool_or_non_finite_component(ray, bad):
     rays = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [3.0, 1.0, 2.0], [1.0, 0.0, 0.0]]
     rays[ray][1] = bad

@@ -49,7 +49,7 @@ def test_window_validation():
     assert win.h_i_range[1] == pytest.approx(PLANAR_FAR.chord + 4.0)
 
 
-@pytest.mark.parametrize("bad", [False, True, np.bool_(False), "-1"])
+@pytest.mark.parametrize("bad", [False, True, np.bool_(False), "-1", pytest.param(10**400, id="10**400")])
 def test_window_rejects_a_bool_or_non_number_range_end(bad):
     with pytest.raises(ValueError, match=r"h_i_range\[0\]"):
         GridWindow((bad, 1.0), (-1.0, 1.0))
@@ -351,7 +351,7 @@ def test_sample_contours_yields_requested_types_by_family():
     types = [SolutionType.from_id(k) for k in (6, 1, 6, 4)]
     maps = list(sample_contours(SEED_SENSITIVITY, window, types))
     assert [c.stype.type_id for c in maps] == [1, 4, 6, 6]
-    # maps share field arrays within a family, so none may be written
+    # fields are read-only
     with pytest.raises(ValueError):
         maps[0].p_i[0, 0] = 0.0
 
@@ -393,16 +393,37 @@ def test_window_slack_is_in_units_of_r():
         assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) < 1e-6
 
 
+def _around_type1_root(resolution, size, i, j):
+    """A window on planar_far of cells of the given size whose type-1 root
+    lies i cells above its lower h_i edge and j cells above its lower h_f
+    edge."""
+    root = enumerate_all_types(PLANAR_FAR, GridWindow.for_instance(PLANAR_FAR, 400), (SolutionType.from_id(1),))[1][0]
+    lo_i, lo_f = root.h_i - i * size, root.h_f - j * size
+    return GridWindow((lo_i, lo_i + resolution * size), (lo_f, lo_f + resolution * size), resolution)
+
+
 def _boundary_window():
     """A 200-cell window on planar_far, wholly in h_f < 0, whose type-1 root
     lies in cell row 80: the last row of the first block of the (+, +)
     quadrant, which spans all 201 h_f nodes (81 node rows plus the overlap
-    row at the default BLOCK_NODES), and likewise of the first block of
-    `sample_contours`."""
-    root = enumerate_all_types(PLANAR_FAR, GridWindow.for_instance(PLANAR_FAR, 400), (SolutionType.from_id(1),))[1][0]
-    step = 0.003
-    lo_i, lo_f = root.h_i - 80.5 * step, root.h_f - 100.3 * step
-    return GridWindow((lo_i, lo_i + 200 * step), (lo_f, lo_f + 200 * step), 200)
+    row at the default BLOCK_NODES)."""
+    return _around_type1_root(200, 0.003, 80.5, 100.3)
+
+
+def _whole_blocks_window():
+    """A 400-cell window on planar_far wholly in h_i < 0 and h_f < 0, so the
+    (+, +) quadrant is the whole grid: its 401 h_f nodes give blocks of 40
+    cell rows, ten whole blocks, and the type-1 root lies in cell row 159,
+    the last of the fourth."""
+    return _around_type1_root(400, 0.001, 159.5, 200.3)
+
+
+def _single_row_window():
+    """A 128-cell window on planar_far wholly in h_i < 0 and h_f < 0, so the
+    (+, +) quadrant is the whole grid: its 129 h_f nodes give blocks of 127
+    cell rows, and the last block holds the one cell row 127, where the
+    type-1 root lies."""
+    return _around_type1_root(128, 0.002, 127.5, 64.3)
 
 
 def _straddle_window():
@@ -414,35 +435,54 @@ def _straddle_window():
 
 
 def _block_cases():
-    """(instance, window): planar_far and nonplanar_close_2 at a resolution
-    inside one block (16), one whose rows divide into whole blocks (400)
-    and one that leaves a last block of a single cell row (128); a
-    collinear pair; a root's crossing cell next to a block boundary; and
-    roots in the cell row straddling h_i = 0."""
+    """(instance, window): planar_far and nonplanar_close_2 at resolutions
+    16, 400 and 128, whose quadrants the walk samples in one block or in
+    three with a shorter last one; a collinear pair; a root's crossing cell
+    next to a block boundary; roots in the cell row straddling h_i = 0; and
+    a quadrant whose rows divide into whole blocks and one that leaves a
+    last block of a single cell row, each with a root in a block's last
+    row."""
     cases = []
     for name in ("planar_far", "nonplanar_close_2"):
         inst = load_bundled(name).instance
         cases += [(inst, GridWindow.for_instance(inst, res)) for res in (16, 400, 128)]
     cases.append((instance((0, 0, 0), (0, 0, 1), (0, 0, 5), (0, 0, 1)), GridWindow.square(5.0, 128)))
-    cases.append((PLANAR_FAR, _boundary_window()))
-    cases.append((PLANAR_FAR, _straddle_window()))
+    for window in (_boundary_window(), _straddle_window(), _whole_blocks_window(), _single_row_window()):
+        cases.append((PLANAR_FAR, window))
     return cases
 
 
+def _walked_quadrants(inst, window):
+    """((r0, r1), (c0, c1), step) for each quadrant the walk samples: its
+    cell rows and columns and the cell rows of its blocks."""
+    hi, hf = (nodes / inst.radius for nodes in window.nodes())
+    walked = []
+    for s_i, s_f in itertools.product((1, -1), repeat=2):
+        (r0, r1), (c0, c1) = oracle._reach(hi, s_i), oracle._reach(hf, s_f)
+        if r0 < r1 and c0 < c1:
+            walked.append(((r0, r1), (c0, c1), max(1, oracle.BLOCK_NODES // (c1 - c0 + 1))))
+    return walked
+
+
 def test_block_cases_cover_one_block_whole_blocks_a_single_last_row_and_a_boundary():
-    # sample_contours' blocks span every h_f node
-    step = lambda nodes: oracle.BLOCK_NODES // nodes
-    assert step(17) >= 16
-    assert 400 % step(401) == 0 and 400 // step(401) > 1
-    assert 128 % step(129) == 1
-    assert step(201) == 81
-    # the type-1 root's cell is the last row of the first block of its quadrant
-    window = _boundary_window()
-    hi, hf = window.nodes()
-    (r0, r1), (c0, c1) = oracle._reach(hi, 1), oracle._reach(hf, 1)
-    assert (r0, c0, c1) == (0, 0, 200) and r1 > 81 and step(c1 - c0 + 1) == 81
-    cmap = next(sample_contours(PLANAR_FAR, window, (SolutionType.from_id(1),)))
-    assert 80 in cmap.intersection_cells()[:, 0]
+    # per quadrant the walk samples: its cell rows, those of its last block
+    # and those of a block
+    last = lambda rows, step: rows - step * ((rows - 1) // step)
+    walked = [q for inst, w in _block_cases() for q in _walked_quadrants(inst, w)]
+    shapes = [(r1 - r0, last(r1 - r0, step), step) for (r0, r1), _, step in walked]
+    assert any(rows <= step for rows, _, step in shapes)
+    assert any(rows > step and tail == step for rows, tail, step in shapes)
+    assert any(rows > step and tail == 1 for rows, tail, step in shapes)
+    # the type-1 root's cell is the last row of a block of the (+, +)
+    # quadrant: the first of three, the fourth of ten, and the one-row last
+    for window, quadrant, row in (
+        (_boundary_window(), ((0, 169), (0, 200), 81), 80),
+        (_whole_blocks_window(), ((0, 400), (0, 400), 40), 159),
+        (_single_row_window(), ((0, 128), (0, 128), 127), 127),
+    ):
+        assert _walked_quadrants(PLANAR_FAR, window)[0] == quadrant
+        _, i, _ = oracle._intersection_cells(PLANAR_FAR, window, [SolutionType.from_id(1)])
+        assert list(i) == [row]
     # the roots of types 2 and 4 lie in the one cell row both h_i quadrants share
     window = _straddle_window()
     hi = window.nodes()[0]
@@ -456,21 +496,20 @@ def test_block_cases_cover_one_block_whole_blocks_a_single_last_row_and_a_bounda
 
 
 def test_block_sampler_equals_whole_grid_sampling_bitwise(monkeypatch):
-    fields = ("h_i_nodes", "h_f_nodes", "p_i", "p_f", "singular", "crossings_i", "crossings_f")
     cases = _block_cases()
-    blocked = [(list(sample_contours(inst, w)), enumerate_all_types(inst, w)) for inst, w in cases]
+    walk = lambda inst, w: (oracle._intersection_cells(inst, w, list(ALL_TYPES)), enumerate_all_types(inst, w))
+    blocked = [walk(inst, w) for inst, w in cases]
     monkeypatch.setattr(oracle, "BLOCK_NODES", 1 << 30)
-    for (inst, window), (maps, roots) in zip(cases, blocked):
-        whole = list(sample_contours(inst, window))
-        assert [c.stype for c in maps] == [c.stype for c in whole]
-        for got, want in zip(maps, whole):
-            for name in fields:
-                assert _same_bits(getattr(got, name), getattr(want, name)), (inst, window, got.stype, name)
-        assert roots == enumerate_all_types(inst, window), (inst, window)
-    collinear = blocked[-3][0]
-    assert all(c.singular.all() for c in collinear)
-    assert len(blocked[-2][1][1]) == 1
-    assert [len(blocked[-1][1][t]) for t in (2, 4)] == [1, 1]
+    for (inst, window), (cells, roots) in zip(cases, blocked):
+        # one block per quadrant
+        assert all(step >= r1 - r0 for (r0, r1), _, step in _walked_quadrants(inst, window))
+        whole_cells, whole_roots = walk(inst, window)
+        assert all(_same_bits(a, b) for a, b in zip(cells, whole_cells)), (inst, window)
+        assert roots == whole_roots, (inst, window)
+    collinear = blocked[-5]
+    assert collinear[0][0].size == 0 and not any(collinear[1].values())
+    assert [len(blocked[k][1][1]) for k in (-4, -2, -1)] == [1, 1, 1]
+    assert [len(blocked[-3][1][t]) for t in (2, 4)] == [1, 1]
 
 
 def test_enumerate_all_types_forms_no_whole_grid_field():
@@ -480,6 +519,22 @@ def test_enumerate_all_types_forms_no_whole_grid_field():
     tracemalloc.start()
     try:
         enumerate_all_types(PLANAR_FAR, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
+
+
+def test_streamed_contour_maps_peak_under_4_mb():
+    # a 201^2 float64 field is 0.32 MB; maps that shared whole-window fields
+    # of every type peaked at 5.8 MB here
+    window = GridWindow.for_instance(PLANAR_FAR, 200)
+    for _ in sample_contours(PLANAR_FAR, window):  # numpy's small-array caches
+        pass
+    tracemalloc.start()
+    try:
+        for _ in sample_contours(PLANAR_FAR, window):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -58,7 +58,7 @@ def test_sweep_spec_accepts_numpy_integer_steps():
     assert list(got.rows()) == list(want.rows())
 
 
-@pytest.mark.parametrize("bad", [True, math.nan, "1.0"])
+@pytest.mark.parametrize("bad", [True, math.nan, "1.0", pytest.param(10**400, id="10**400")])
 def test_sweep_spec_rejects_a_bool_or_non_finite_fixed_value(bad):
     with pytest.raises(ValueError, match=r"fixed\[1\]"):
         SweepSpec("planar", ("x", bad))
