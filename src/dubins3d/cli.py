@@ -8,8 +8,8 @@ Subcommands:
   contours    export sampled residual fields for external plotting
   fidelity    run every bundled reference scenario and check its record
 
-Exit codes: 0 success, 1 malformed input, 2 no valid solution (solve) or
-recorded expectations violated (fidelity).
+Exit codes: 0 success, 1 malformed input or arguments, 2 no valid solution
+(solve) or recorded expectations violated (fidelity).
 """
 
 from __future__ import annotations
@@ -252,19 +252,18 @@ def _check_expectation(exp: ReferenceExpectation, inst: ProblemInstance, report:
     """Evaluate one scenario's recorded expectations; returns (check, ok, detail)."""
     sols = report["solutions"]
     valid = [s for s in sols if s["valid"]]
-    valid_types = tuple(sorted(s["type_id"] for s in valid))
     invalid_types = {s["type_id"] for s in sols if not s["valid"]}
+    got = {
+        "n_valid": len(valid),
+        "valid_types": tuple(sorted(s["type_id"] for s in valid)),
+        "valid_regular": sum(1 for s in valid if s["type_id"] <= 4),
+        "valid_switched": sum(1 for s in valid if s["type_id"] >= 5),
+    }
     checks: list[tuple[str, bool, str]] = []
-    if exp.n_valid is not None:
-        checks.append(("n_valid", len(valid) == exp.n_valid, f"expected {exp.n_valid}, got {len(valid)}"))
-    if exp.valid_types is not None:
-        checks.append(("valid_types", valid_types == exp.valid_types, f"expected {exp.valid_types}, got {valid_types}"))
-    if exp.valid_regular is not None:
-        n = sum(1 for s in valid if s["type_id"] <= 4)
-        checks.append(("valid_regular", n == exp.valid_regular, f"expected {exp.valid_regular}, got {n}"))
-    if exp.valid_switched is not None:
-        n = sum(1 for s in valid if s["type_id"] >= 5)
-        checks.append(("valid_switched", n == exp.valid_switched, f"expected {exp.valid_switched}, got {n}"))
+    for name, n in got.items():
+        want = getattr(exp, name)
+        if want is not None:
+            checks.append((name, n == want, f"expected {want}, got {n}"))
     for tid in exp.invalid_present:
         checks.append((f"invalid_type_{tid}_present", tid in invalid_types, f"filtered roots: {sorted(invalid_types)}"))
     absent = enumerate_all_types(inst, GridWindow.for_instance(inst), map(SolutionType.from_id, exp.absent))
@@ -306,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one scenario file")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--robust", action="store_true", help="multistart seed grid, overriding a scenario's single-seed policy")
-    p.add_argument("--seed", nargs=2, type=float, metavar=("H_I", "H_F"), help="solve from a single seed instead")
+    seeding = p.add_mutually_exclusive_group()
+    seeding.add_argument("--robust", action="store_true", help="multistart seed grid, overriding a scenario's single-seed policy")
+    seeding.add_argument("--seed", nargs=2, type=float, metavar=("H_I", "H_F"), help="solve from a single seed instead")
     p.add_argument("--no-gradient", action="store_true", help="finite-difference Jacobian instead of analytic")
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
     add_common(p)
@@ -350,7 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 after a usage error, its
+        # message already on stderr; here 2 means no valid solution
+        return 1 if exc.code else 0
     return args.func(args)
 
 

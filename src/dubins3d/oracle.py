@@ -14,12 +14,13 @@ s_i = +1 and h_i >= ZERO_SNAP (and <= -ZERO_SNAP wherever s_i = -1 and
 h_i <= -ZERO_SNAP): no such cell crosses, and p_f likewise.  So the types
 of each sign pair (s_i, s_f) sample their dense p_i fields only on that
 quadrant's node rows and columns (`_reach`), and p_f only at the corners
-of their p_i crossing cells.  Its sampler walks those nodes in blocks of
-h_i node rows (`_sample_blocks`): a 401^2 float64 field is 1.29 MB, so a
-whole-grid pass is bound by memory bandwidth.  Every node value is the
-whole grid's, so the cells, and the roots, are exactly those of
-`sample_contours`' maps.  As in `solver`, both run in units of the
-radius; windows, fields and roots are in the instance's own units.
+of their p_i crossing cells.  `_intersection_cells` walks those nodes in
+blocks of h_i node rows, one `batch.frame` per block for all of a
+quadrant's types: a 401^2 float64 field is 1.29 MB, so a whole-grid pass
+is bound by memory bandwidth.  Every node value is the whole grid's, so
+the cells, and the roots, are exactly those of `sample_contours`' maps.
+As in `solver`, both run in units of the radius; windows, fields and
+roots are in the instance's own units.
 """
 
 from __future__ import annotations
@@ -141,51 +142,6 @@ def _reach(h: np.ndarray, sign: int) -> tuple[int, int]:
     return (int(cells[0]), int(cells[-1]) + 1) if cells.size else (0, 0)
 
 
-def _start_fields(frame, h, s_i: int, switched) -> dict:
-    """p_i = h_i + s_i T_i in units of r for each direction flag in switched,
-    in that order, from `batch.frame`'s values and the h_i nodes h.
-
-    A type reads the frame only through its direction, which picks one of
-    the two half-angle tangents where sigma A <= 0, and its start sign, so
-    every value has the bits `batch.eval_residuals` gives.
-    """
-    A, _, _, d, _, _, r_i, _ = frame
-    tangents = _batch.half_angles(A, d, r_i)
-    fields = {}
-    for flag in switched:
-        tan = np.where(A >= 0.0 if flag else A <= 0.0, *tangents)
-        # h - tan has the bits of h + (-1) tan
-        fields[flag] = h + tan if s_i > 0 else h - tan
-    return fields
-
-
-def _sample_blocks(rb: RayBatch, hi: np.ndarray, hf: np.ndarray, s_i: int, switched):
-    """The p_i fields of start sign s_i and each direction flag in switched
-    on the nodes hi x hf, in units of r, one block of h_i node rows at a
-    time.
-
-    hi is a column of h_i nodes and hf a row of h_f nodes, a node sub-range
-    of a window.  Yields (first node row, fields), fields mapping each flag
-    to the block's field and its cell crossings.  A block holds
-    max(1, BLOCK_NODES // hf.size) node rows plus the first row of the
-    next, so every cell lies in exactly one block.  A and d are formed per
-    node and Q_i per h_f node (`batch.frame`).
-
-    A block's arrays stay bound until the next block is formed, so the
-    malloc heap reuses their pages: freeing them at the yield let it trim
-    and fault them back in, with 4.7 times the minor faults and 23% more
-    time per all-types `enumerate_all_types` call at resolution 400.
-    """
-    step = max(1, BLOCK_NODES // hf.size)
-    for row in range(0, hi.shape[0] - 1, step):
-        h_blk = hi[row : row + step + 1]
-        frame = _batch.frame(rb, h_blk, hf)
-        fields = {}
-        for flag, p in _start_fields(frame, h_blk, s_i, switched).items():
-            fields[flag] = p, _cell_crossings(p)
-        yield row, fields
-
-
 def sample_contours(
     inst: ProblemInstance, window: GridWindow, stypes: Iterable[SolutionType] = ALL_TYPES
 ) -> Iterator[ContourMap]:
@@ -217,33 +173,51 @@ def _intersection_cells(inst: ProblemInstance, window: GridWindow, found: list[S
 
     The sign of T_i >= 0 bounds where p_i can cross (`_reach`), so the
     types of each (start_sign, end_sign) quadrant sample the dense p_i
-    fields and crossings only on its node rows and columns, block by block
-    (`_sample_blocks`).  p_f is then formed only at the four corners of
-    each type's p_i crossing cells, all types in one
-    `batch.eval_residuals` call, and tested by the same crossing rule.  Node
-    values are the whole grid's, so the cells are exactly those of
-    `sample_contours`' maps.
+    fields and crossings only on its node rows and columns, in blocks of
+    max(1, BLOCK_NODES // columns) node rows plus the first row of the
+    next, so every cell lies in exactly one block.  Each block forms
+    `batch.frame` and `batch.half_angles` once for all of the quadrant's
+    types; a type reads them only through its direction, which picks one
+    of the two tangents where sigma A <= 0, and its start sign, so every
+    value has the bits `batch.eval_residuals` gives.  p_f is then formed
+    only at the four corners of each type's p_i crossing cells, all types
+    in one `batch.eval_residuals` call, and tested by the same crossing
+    rule.  Node values are the whole grid's, so the cells are exactly those
+    of `sample_contours`' maps.
     """
-    r = inst.radius
-    hi_nodes, hf_nodes = window.nodes()
-    hi, hf = hi_nodes / r, hf_nodes / r
+    hi, hf = (nodes / inst.radius for nodes in window.nodes())
     rb = RayBatch.from_instance(inst)
     # per type, the row and column of each of its p_i crossing cells, row-major
     ij = [(np.empty(0, np.intp),) * 2] * len(found)
-    for s_i, s_f in dict.fromkeys((t.start_sign, t.end_sign) for t in found):
+    quadrants: dict[tuple[int, int], list[int]] = {}
+    for k, t in enumerate(found):
+        quadrants.setdefault((t.start_sign, t.end_sign), []).append(k)
+    for (s_i, s_f), quad in quadrants.items():
         (r0, r1), (c0, c1) = _reach(hi, s_i), _reach(hf, s_f)
         if r0 == r1 or c0 == c1:
             continue
-        quad = {k: [] for k, t in enumerate(found) if (t.start_sign, t.end_sign) == (s_i, s_f)}
-        # regular first, as found is ordered
-        switched = list(dict.fromkeys(found[k].switched for k in quad))
-        width = c1 - c0
-        for row, fields in _sample_blocks(rb, hi[r0 : r1 + 1, None], hf[None, c0 : c1 + 1], s_i, switched):
-            for k, flat in quad.items():
+        rows, cols = hi[r0 : r1 + 1, None], hf[None, c0 : c1 + 1]
+        width, step = c1 - c0, max(1, BLOCK_NODES // cols.size)
+        flat = {k: [] for k in quad}
+        for row in range(0, r1 - r0, step):
+            h = rows[row : row + step + 1]
+            frame = _batch.frame(rb, h, cols)
+            A, tangents = frame[0], _batch.half_angles(frame[0], frame[3], frame[6])
+            # h - tan has the bits of h + (-1) tan
+            tans = (np.where(A >= 0.0 if found[k].switched else A <= 0.0, *tangents) for k in quad)
+            fields = [h + tan if s_i > 0 else h - tan for tan in tans]
+            # The frame, fields and crossings stay bound until the next
+            # block's are formed, and the tangents go before the crossings,
+            # so the malloc heap reuses the block's pages: freeing arrays
+            # early cost 4.7 times the minor faults and 23% more time per
+            # all-types call at resolution 400, one type at a time 4-13%.
+            del tangents
+            crossings = [_cell_crossings(p) for p in fields]
+            for k, c in zip(quad, crossings):
                 # flat indices: np.nonzero of a 2D block takes ten times as long
-                flat.append(np.flatnonzero(fields[found[k].switched][1]) + row * width)
-        for k, flat in quad.items():
-            i, j = np.divmod(np.concatenate(flat), width)
+                flat[k].append(np.flatnonzero(c) + row * width)
+        for k, parts in flat.items():
+            i, j = np.divmod(np.concatenate(parts), width)
             ij[k] = i + r0, j + c0
     owner = np.repeat(np.arange(len(found)), [i.size for i, _ in ij])
     i, j = (np.concatenate(a) for a in zip(*ij))

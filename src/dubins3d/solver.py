@@ -63,6 +63,12 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         check_count("max_iters", self.max_iters, 1)
+        # a truthy string would run with the gradient, and a tuple seed
+        # would fail only inside solve_all
+        if not isinstance(self.use_gradient, (bool, np.bool_)):
+            raise ValueError(f"use_gradient must be a bool, got {self.use_gradient!r}")
+        if self.seed is not None and not isinstance(self.seed, HPair):
+            raise ValueError(f"seed must be None or an HPair, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

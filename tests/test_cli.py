@@ -168,6 +168,33 @@ def test_sweep_csv_deterministic(tmp_path):
     assert len(a.decode().splitlines()) == 1 + 49
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--mode", "planar", "--fix", "z=0", "--steps", "abc"],
+        ["sweep", "--fix", "z=0"],
+        ["contours", "SCENARIO", "--type", "9"],
+        ["solve", "SCENARIO", "--robust", "--seed", "0", "0"],
+        ["solve"],
+        ["unknown"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_arguments_exit_1(tmp_path, capsys, args):
+    # argparse's own exit code, 2, means no valid solution here
+    scn = write_scenario(tmp_path, "planar_far")
+    out = tmp_path / "out"
+    assert main([str(scn) if a == "SCENARIO" else a for a in args] + ["--out", str(out)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(capsys, args):
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
 def test_sweep_invalid_spec_exit_1(tmp_path):
     for fix in ("q=0", "angle=", "z=nan", "x=inf", "angle=-inf"):
         assert main(["sweep", "--mode", "planar", "--fix", fix, "--out", str(tmp_path)]) == 1

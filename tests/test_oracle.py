@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dubins3d import oracle
+from dubins3d import batch, oracle
 from dubins3d.batch import RayBatch, eval_residuals, newton
 from dubins3d.geom import Configuration, ProblemInstance, instance
 from dubins3d.oracle import (
@@ -510,6 +510,17 @@ def test_block_sampler_equals_whole_grid_sampling_bitwise(monkeypatch):
     assert collinear[0][0].size == 0 and not any(collinear[1].values())
     assert [len(blocked[k][1][1]) for k in (-4, -2, -1)] == [1, 1, 1]
     assert [len(blocked[-3][1][t]) for t in (2, 4)] == [1, 1]
+
+
+def test_quadrant_walk_forms_one_frame_per_block_for_all_types(monkeypatch):
+    window = GridWindow.for_instance(PLANAR_FAR, 400)
+    frame, calls = batch.frame, []
+    monkeypatch.setattr(batch, "frame", lambda *args: calls.append(args) or frame(*args))
+    oracle._intersection_cells(PLANAR_FAR, window, list(ALL_TYPES))
+    blocks = sum(-(-(r1 - r0) // step) for (r0, r1), _, step in _walked_quadrants(PLANAR_FAR, window))
+    # and one for p_f at the corners of the p_i crossing cells; a walk with
+    # a frame per type and block would make 2 * 12 + 1
+    assert len(calls) == blocks + 1 == 13
 
 
 def test_enumerate_all_types_forms_no_whole_grid_field():

@@ -173,6 +173,18 @@ def test_collinear_detection():
 def test_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
+    # "no" is truthy and would run with the gradient; a tuple seed failed
+    # with an AttributeError inside solve_all
+    for field, bad in (
+        ("use_gradient", "no"),
+        ("use_gradient", 1),
+        ("use_gradient", None),
+        ("seed", (0.0, 0.0)),
+        ("seed", 0.0),
+    ):
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{field: bad})
+    assert SolverOptions(use_gradient=np.False_).use_gradient == False  # noqa: E712
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(4.0), "5"])
