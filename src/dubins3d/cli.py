@@ -8,8 +8,11 @@ Subcommands:
   contours    export sampled residual fields for external plotting
   fidelity    run every bundled reference scenario and check its record
 
-Exit codes: 0 success, 1 malformed input or arguments, 2 no valid solution
-(solve) or recorded expectations violated (fidelity).
+Exit codes: 0 success, 1 malformed input or arguments (among them a seed,
+seed-study window or contour window past MAX_CHORD_RADII r, which the
+kernel cannot represent), 2 no valid solution (solve) or recorded
+expectations violated (fidelity).  A command raises ValueError on malformed
+input; `main` prints it as one error line.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .geom import DubinsError, ProblemInstance
@@ -47,20 +50,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-@dataclass
-class SolutionRow:
-    type_id: int
-    h_i: float
-    h_f: float
-    valid: bool
-    reason: str
-    path_length: float | None
-    theta_start: float | None
-    theta_end: float | None
-    segment_length: float | None
-    iterations: int
-    verify_ok: bool | None
-    shortest: bool = False
+# a solution's keys in the case-report JSON, in order, and the case CSV's columns
+CASE_CSV_COLUMNS = "type_id h_i h_f valid reason path_length theta_start theta_end segment_length iterations verify_ok shortest".split()
 
 
 def build_case_report(scenario: Scenario, opts: SolverOptions) -> dict:
@@ -82,7 +73,7 @@ def build_case_report(scenario: Scenario, opts: SolverOptions) -> dict:
             "wall_time_s": wall,
             "solutions": [],
         }
-    rows: list[SolutionRow] = []
+    rows: list[dict] = []
     for cand in cands:
         verdict = check_directionality(cand)
         # a filtered root has no path: None in every path field
@@ -90,11 +81,12 @@ def build_case_report(scenario: Scenario, opts: SolverOptions) -> dict:
         shape = (p.total_length, p.arc_start.angle, p.arc_end.angle, p.segment.length) if p else (None,) * 4
         ok = verify_path(p, inst).ok if p else None
         hp = cand.hp
-        rows.append(SolutionRow(cand.type_id, hp.h_i, hp.h_f, verdict.valid, verdict.reason, *shape, cand.iterations, ok))
+        row = (cand.type_id, hp.h_i, hp.h_f, verdict.valid, verdict.reason, *shape, cand.iterations, ok, False)
+        rows.append(dict(zip(CASE_CSV_COLUMNS, row)))
     wall = time.perf_counter() - t0
-    valid_rows = [r for r in rows if r.valid]
+    valid_rows = [r for r in rows if r["valid"]]
     if valid_rows:
-        min(valid_rows, key=lambda r: r.path_length).shortest = True  # type: ignore[arg-type]
+        min(valid_rows, key=lambda r: r["path_length"])["shortest"] = True
     return {
         "scenario": scenario.name,
         "radius": inst.radius,
@@ -102,11 +94,8 @@ def build_case_report(scenario: Scenario, opts: SolverOptions) -> dict:
         "n_solutions": len(rows),
         "n_valid": len(valid_rows),
         "wall_time_s": wall,
-        "solutions": [vars(r) for r in rows],
+        "solutions": rows,
     }
-
-
-CASE_CSV_COLUMNS = [f.name for f in fields(SolutionRow)]
 
 
 def _write_case_outputs(report: dict, out: Path, name: str, fmt: str) -> None:
@@ -122,9 +111,10 @@ def _write_case_outputs(report: dict, out: Path, name: str, fmt: str) -> None:
         _write_csv(out / f"{name}.csv", CASE_CSV_COLUMNS, rows)
 
 
-def _load(args) -> Scenario | None:
-    """The scenario file of args, its options overridden by the flags given;
-    None, after an error line on stderr, when it is malformed."""
+def _load(args) -> Scenario:
+    """The scenario file of args, its options overridden by the flags given.
+    Raises ValueError("cannot load scenario: ...") when it is malformed; an
+    offset past MAX_CHORD_RADII r is rejected later, by the command."""
     try:
         scenario = load_scenario(args.scenario)
         changes = {}
@@ -136,14 +126,11 @@ def _load(args) -> Scenario | None:
             changes["seed"] = None
         return replace(scenario, options=replace(scenario.options, **changes))
     except (OSError, ValueError, DubinsError) as exc:
-        print(f"error: cannot load scenario: {exc}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot load scenario: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
     scenario = _load(args)
-    if scenario is None:
-        return 1
     report = build_case_report(scenario, scenario.options)
     _write_case_outputs(report, Path(args.out), scenario.name, args.format)
     n_valid = report["n_valid"]
@@ -159,12 +146,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    var, _, val = args.fix.partition("=")
     try:
-        var, _, val = args.fix.partition("=")
         spec = SweepSpec(args.mode, (var.strip(), float(val)), steps=args.steps, robust_seeds=args.robust)
-    except (ValueError, TypeError) as exc:
-        print(f"error: invalid sweep spec: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:
+        raise ValueError(f"invalid sweep spec: {exc}") from exc
     result = run_sweep(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -177,14 +163,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_seed_study(args) -> int:
     scenario = _load(args)
-    if scenario is None:
-        return 1
     type_ids = tuple(args.type) if args.type else tuple(range(1, 9))
-    try:
-        rows = run_seed_study(scenario, args.window, args.resolution, type_ids)
-    except ValueError as exc:
-        print(f"error: invalid seed study: {exc}", file=sys.stderr)
-        return 1
+    rows = run_seed_study(scenario, args.window, args.resolution, type_ids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{scenario.name}_seed_study.csv"
@@ -202,11 +182,7 @@ def cmd_seed_study(args) -> int:
 
 
 def cmd_grad_study(args) -> int:
-    try:
-        rows = run_gradient_study(args.cases, args.rng_seed)
-    except ValueError as exc:
-        print(f"error: invalid gradient study: {exc}", file=sys.stderr)
-        return 1
+    rows = run_gradient_study(args.cases, args.rng_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"grad_study_{args.cases}_{args.rng_seed}.csv"
@@ -222,21 +198,17 @@ def cmd_grad_study(args) -> int:
 
 def cmd_contours(args) -> int:
     scenario = _load(args)
-    if scenario is None:
-        return 1
     inst = scenario.instance
-    try:
-        if args.window is not None:
-            window = GridWindow.square(args.window, args.resolution)
-        else:
-            window = GridWindow.for_instance(inst, args.resolution)
-    except ValueError as exc:
-        print(f"error: invalid contour window: {exc}", file=sys.stderr)
-        return 1
+    if args.window is not None:
+        window = GridWindow.square(args.window, args.resolution)
+    else:
+        window = GridWindow.for_instance(inst, args.resolution)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     type_ids = tuple(args.type) if args.type else tuple(range(1, 9))
     for cmap in sample_contours(inst, window, map(SolutionType.from_id, type_ids)):
+        # made once the first map is formed, so a window the kernel cannot
+        # represent leaves no directory
+        out.mkdir(parents=True, exist_ok=True)
         rows = [
             (float(a), float(b), float(cmap.p_i[i, j]), float(cmap.p_f[i, j]), int(cmap.singular[i, j]))
             for i, a in enumerate(cmap.h_i_nodes)
@@ -356,7 +328,11 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 0 after --help and 2 after a usage error, its
         # message already on stderr; here 2 means no valid solution
         return 1 if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

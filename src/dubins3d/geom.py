@@ -20,9 +20,11 @@ EPS_ZERO = 1e-9
 
 _UNIT_TOL = 1e-12
 
-# Largest chord in units of r the solvers represent: batch.frame squares
-# offsets up to solver.runaway_limit = 100 (chord + 4) r, and Newton's trial
-# steps beyond it, into doubles below 1.8e308 = (1.3e154)^2, so 1e150 fits.
+# Largest chord, and largest offset (a seed, a seed grid's half-width, an
+# oracle window's end), in units of r the solvers represent: batch.frame
+# squares offsets up to solver.runaway_limit = 100 (chord + 4) r, and
+# Newton's trial steps beyond it, into doubles below 1.8e308 = (1.3e154)^2,
+# so 1e150 fits (`check_radii`).
 MAX_CHORD_RADII = 1e150
 
 
@@ -115,6 +117,13 @@ def check_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def check_radii(name: str, length, radius) -> None:
+    """ValueError naming the length, a chord or an offset, unless it is at
+    most MAX_CHORD_RADII times the radius in magnitude (so not NaN)."""
+    if not abs(length) / radius <= MAX_CHORD_RADII:
+        raise ValueError(f"{name} {length!r} must be finite and at most {MAX_CHORD_RADII:g} times the radius {radius!r} in magnitude")
+
+
 def normalize(v: Vec3) -> UnitVec3:
     """Return v / ||v||.
 
@@ -163,8 +172,7 @@ class ProblemInstance:
         check_finite("radius", self.radius)
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
-        if not self.chord / self.radius <= MAX_CHORD_RADII:
-            raise ValueError(f"chord {self.chord!r} must be finite and at most {MAX_CHORD_RADII:g} times the radius {self.radius!r}")
+        check_radii("chord", self.chord, self.radius)
 
     @property
     def chord(self) -> float:

@@ -19,8 +19,9 @@ blocks of h_i node rows, one `batch.frame` per block for all of a
 quadrant's types: a 401^2 float64 field is 1.29 MB, so a whole-grid pass
 is bound by memory bandwidth.  Every node value is the whole grid's, so
 the cells, and the roots, are exactly those of `sample_contours`' maps.
-As in `solver`, both run in units of the radius; windows, fields and
-roots are in the instance's own units.
+As in `solver`, both run in units of the radius (`_nodes`, which rejects
+a window end past MAX_CHORD_RADII r); windows, fields and roots are in the
+instance's own units.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import batch as _batch
 from . import solver as _solver
 from .batch import RayBatch
 from .batch import eval_residuals  # noqa: F401  unused here; bench/tracing.py wraps oracle.eval_residuals
-from .geom import ProblemInstance, check_count, check_finite
+from .geom import ProblemInstance, check_count, check_finite, check_radii
 from .residual import ALL_TYPES, HPair, SolutionType
 from .solver import DEFAULT_DEDUP_TOL, GRID_MAX_ITERS
 from .solver import solve_type  # noqa: F401  unused here; bench/tracing.py wraps oracle.solve_type
@@ -142,6 +143,16 @@ def _reach(h: np.ndarray, sign: int) -> tuple[int, int]:
     return (int(cells[0]), int(cells[-1]) + 1) if cells.size else (0, 0)
 
 
+def _nodes(inst: ProblemInstance, window: GridWindow) -> tuple[np.ndarray, np.ndarray]:
+    """The window's nodes in units of r.  ValueError naming the end of a
+    range past MAX_CHORD_RADII r (`geom.check_radii`), which the kernel
+    cannot represent."""
+    for name in ("h_i_range", "h_f_range"):
+        for k, v in enumerate(getattr(window, name)):
+            check_radii(f"{name}[{k}]", v, inst.radius)
+    return tuple(nodes / inst.radius for nodes in window.nodes())
+
+
 def sample_contours(
     inst: ProblemInstance, window: GridWindow, stypes: Iterable[SolutionType] = ALL_TYPES
 ) -> Iterator[ContourMap]:
@@ -154,10 +165,10 @@ def sample_contours(
     """
     r = inst.radius
     hi_nodes, hf_nodes = window.nodes()
-    hi, hf = (hi_nodes / r)[:, None], (hf_nodes / r)[None, :]
+    hi, hf = _nodes(inst, window)
     rb = RayBatch.from_instance(inst)
     for t in sorted(stypes, key=lambda t: t.switched):  # stable: regular first
-        p_i, p_f = _batch.eval_residuals(rb, t.type_id - 1, hi, hf)
+        p_i, p_f = _batch.eval_residuals(rb, t.type_id - 1, hi[:, None], hf[None, :])
         crossings_i, crossings_f = _cell_crossings(p_i), _cell_crossings(p_f)
         for p in (p_i, p_f):
             p *= r
@@ -185,7 +196,7 @@ def _intersection_cells(inst: ProblemInstance, window: GridWindow, found: list[S
     rule.  Node values are the whole grid's, so the cells are exactly those
     of `sample_contours`' maps.
     """
-    hi, hf = (nodes / inst.radius for nodes in window.nodes())
+    hi, hf = _nodes(inst, window)
     rb = RayBatch.from_instance(inst)
     # per type, the row and column of each of its p_i crossing cells, row-major
     ij = [(np.empty(0, np.intp),) * 2] * len(found)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import batch as _batch
 from .batch import DEFAULT_RESIDUAL_TOL  # noqa: F401  the bound every solve_all root meets
-from .geom import EPS_ZERO, DubinsError, ProblemInstance, check_count
+from .geom import EPS_ZERO, DubinsError, ProblemInstance, check_count, check_radii
 from .residual import ALL_TYPES, Geometry, HPair, ResidualPair, SolutionType, residuals
 
 # In units of the turn radius: roots closer than DEFAULT_DEDUP_TOL merge.
@@ -144,6 +144,13 @@ def _candidate(
     return SolutionCandidate(stype, hp, res, geo, iters, seed)
 
 
+def _check_seed(seed: HPair, r: float) -> None:
+    """ValueError naming the offset unless each of the seed's is at most
+    MAX_CHORD_RADII r in magnitude (`geom.check_radii`)."""
+    check_radii("seed.h_i", seed.h_i, r)
+    check_radii("seed.h_f", seed.h_f, r)
+
+
 def solve_type(
     inst: ProblemInstance,
     stype: SolutionType,
@@ -153,10 +160,12 @@ def solve_type(
     """Newton iteration for one type from one seed.
 
     Raises NotConverged when the iteration stalls, hits persistent singular
-    geometry, or exhausts max_iters.
+    geometry, or exhausts max_iters, and ValueError for a seed the kernel
+    cannot represent (`_check_seed`).
     """
     opts = opts or SolverOptions()
     r = inst.radius
+    _check_seed(seed, r)
     rb = _batch.RayBatch.from_instance(inst)
     seeds = (np.array([seed.h_i / r]), np.array([seed.h_f / r]))
     code = np.array([stype.type_id - 1], np.int8)
@@ -236,6 +245,7 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
 
     Raises CollinearInstance up front when the two-offset parametrization is
     singular everywhere; callers handle the straight-line special case.
+    Raises ValueError for a seed the kernel cannot represent (`_check_seed`).
     """
     opts = opts or SolverOptions()
     rb = _batch.RayBatch.from_instance(inst)
@@ -246,6 +256,7 @@ def solve_all(inst: ProblemInstance, opts: SolverOptions | None = None) -> list[
     if opts.seed is None:
         hi0, hf0 = seed_grid(inst.span)
     else:
+        _check_seed(opts.seed, r)
         hi0, hf0 = np.array([opts.seed.h_i]), np.array([opts.seed.h_f])
     h_limit = runaway_limit(inst.span / r)
     run, types, _, seeds = multistart(rb, hi0 / r, hf0 / r, opts.max_iters, opts.use_gradient, h_limit)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import RayBatch, directionally_valid, eval_ahead, newton
-from .geom import check_count, check_finite, offset_span
+from .geom import check_count, check_finite, check_radii, offset_span
 from .residual import ALL_TYPES, REGULAR_TYPES, SolutionType
 from .scenarios import Scenario
 from .solver import GRID_MAX_ITERS, collinear, multistart, runaway_limit, seed_grid
@@ -191,12 +191,16 @@ def run_seed_study(
 ) -> list[SeedStudyRow]:
     """Map every seed on a grid to the root it converges to, per type.
 
-    half_width, seeds and roots are in the scenario's units.
+    half_width, seeds and roots are in the scenario's units.  half_width
+    must be positive, and at most MAX_CHORD_RADII r (`geom.check_radii`).
     """
     check_finite("half_width", half_width)
+    if not half_width > 0.0:
+        raise ValueError(f"half_width must be positive, got {half_width!r}")
     check_count("resolution", resolution, 1)
     inst = scenario.instance
     r = inst.radius
+    check_radii("half_width", half_width, r)
     vals = np.linspace(-half_width, half_width, resolution)
     a, b = np.meshgrid(vals, vals, indexing="ij")
     hi0 = a.ravel()

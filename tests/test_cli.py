@@ -211,6 +211,12 @@ def test_sweep_invalid_spec_exit_1(tmp_path):
         ["seed-study", "SCENARIO", "--resolution", "-2"],
         ["seed-study", "SCENARIO", "--window", "nan"],
         ["grad-study", "--cases", "0"],
+        # not positive, or past MAX_CHORD_RADII r: no overflow warnings
+        ["seed-study", "SCENARIO", "--window", "-3"],
+        ["seed-study", "SCENARIO", "--window", "0"],
+        ["seed-study", "SCENARIO", "--window", "1e200"],
+        ["contours", "SCENARIO", "--window", "1e160"],
+        ["solve", "SCENARIO", "--seed", "1e160", "0"],
     ],
     ids=" ".join,
 )

@@ -16,7 +16,11 @@ from dubins3d.geom import (
     normalize,
     point_line_distance,
 )
-from dubins3d.solver import solve_all
+from dubins3d.oracle import GridWindow, enumerate_all_types, sample_contours
+from dubins3d.residual import ALL_TYPES, HPair
+from dubins3d.scenarios import Scenario
+from dubins3d.solver import NotConverged, SolverOptions, solve_all, solve_type
+from dubins3d.studies import run_seed_study
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vectors = st.builds(Vec3, finite_floats, finite_floats, finite_floats)
@@ -143,8 +147,43 @@ def test_instance_rejects_chords_the_kernel_cannot_represent(goal, radius):
         instance((0, 0, 0), (0, 0, 1), goal, (0.6, 0, 0.8), radius=radius)
 
 
+# the largest chord the kernel represents, at r = 2.5 so that the bounds are
+# MAX_CHORD_RADII r, not MAX_CHORD_RADII
+LARGEST = Scenario("largest", instance((0, 0, 0), (1, 0, 0), (1.5e150, 0, 2e150), (0, 1, 0), radius=2.5))
+
+
+def _solve_type(h: float) -> None:
+    try:
+        solve_type(LARGEST.instance, ALL_TYPES[5], HPair(0.0, -h))
+    except NotConverged:
+        pass
+
+
+# (call taking an offset, the field its error names): every place an offset
+# enters the kernel, whose frame squares it as it squares the chord
+OFFSET_CALLS = [
+    (lambda h: solve_all(LARGEST.instance, SolverOptions(seed=HPair(h, 0.0))), "seed.h_i"),
+    (_solve_type, "seed.h_f"),
+    (lambda h: run_seed_study(LARGEST, h, 3), "half_width"),
+    (lambda h: enumerate_all_types(LARGEST.instance, GridWindow.square(h, 16)), r"h_i_range\[0\]"),
+    (lambda h: list(sample_contours(LARGEST.instance, GridWindow((-1.0, 1.0), (-1.0, h), 16))), r"h_f_range\[1\]"),
+]
+
+
 def test_largest_chord_solves_without_warning():
     # tier-1 turns a RuntimeWarning, such as an overflow, into an error
-    inst = instance((0, 0, 0), (1, 0, 0), (1.5e150, 0, 2e150), (0, 1, 0), radius=2.5)
+    inst = LARGEST.instance
     assert inst.chord / inst.radius == MAX_CHORD_RADII
     assert len(solve_all(inst)) == 8
+    # and so does every offset up to the same bound
+    for call, _ in OFFSET_CALLS:
+        call(MAX_CHORD_RADII * inst.radius)
+
+
+@pytest.mark.parametrize(
+    "call, field", OFFSET_CALLS, ids=["solve_all", "solve_type", "run_seed_study", "enumerate_all_types", "sample_contours"]
+)
+def test_offsets_the_kernel_cannot_represent_are_rejected(call, field):
+    for h in (2.0 * MAX_CHORD_RADII * LARGEST.instance.radius, 1e160, 1e300):
+        with pytest.raises(ValueError, match=field):
+            call(h)

@@ -64,7 +64,10 @@ def test_sweep_spec_rejects_a_bool_or_non_finite_fixed_value(bad):
         SweepSpec("planar", ("x", bad))
 
 
-@pytest.mark.parametrize("bad", [True, math.inf, "4.0"])
+# also a half-width that is not positive (-3 ran the mirrored grid, 0 nine
+# copies of the seed (0, 0)) or past MAX_CHORD_RADII r, which the kernel
+# cannot represent
+@pytest.mark.parametrize("bad", [True, math.inf, "4.0", 0.0, -3.0, 1e200])
 def test_seed_study_rejects_a_bool_or_non_finite_half_width(bad):
     with pytest.raises(ValueError, match="half_width"):
         run_seed_study(load_bundled("planar_far"), half_width=bad, resolution=3)
@@ -220,9 +223,11 @@ def test_seed_study_singular_seeds_no_crash():
     import dubins3d as d
 
     inst = d.instance((0, 0, 0), (0, 0, 1), (0, 0, 5), (1, 0, 0))
-    rows = run_seed_study(Scenario("singular", inst, SolverOptions()), half_width=0.0, resolution=2, type_ids=(1,))
-    assert all(not r.converged for r in rows)
-    assert all(r.root_h_i is None for r in rows)
+    rows = run_seed_study(Scenario("singular", inst, SolverOptions()), half_width=1.0, resolution=3, type_ids=(1,))
+    singular = [r for r in rows if r.seed_h_f == 0.0]
+    assert len(singular) == 3
+    assert all(not r.converged for r in singular)
+    assert all(r.root_h_i is None for r in singular)
 
 
 def test_gradient_study_deterministic():
